@@ -6,9 +6,13 @@ non-crossing repair around the isotonic fit, the rounding-restricted
 variant of that family, and the wider Hoeffding-style band around
 isotonic block averages.
 
-Per-pair confidence bounds are evaluated once in batches; per-knot values
-then come from monotone suffix/prefix sweeps, so the full family costs
-O(|family|) bound evaluations instead of O(N * |family|).
+The raw band needs, per knot, one extreme over the family's pair bounds.
+It sweeps the pairs twice: first with closed-form brackets around each
+bound, then exactly (betaincinv) only for the pairs whose bracket can still
+reach a knot's extreme. Per-knot values come from monotone suffix/prefix
+sweeps, so the full family costs O(|family|) brackets and at most that
+many exact bounds instead of O(N * |family|). The result is bit-identical
+to bounding every pair; raw_band's docstring gives the argument.
 """
 
 import math
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import cp_bounds_batch
+from .special import _CHUNK_MIN, cp_bounds_batch, cp_brackets
 
 __all__ = [
     "IndexPairFamily",
@@ -29,7 +33,7 @@ __all__ = [
     "evaluate_band",
 ]
 
-_PAIR_CHUNK = 1 << 20
+_PAIR_CHUNK = 1 << 14
 _YB_CHUNK = 1 << 22
 
 
@@ -151,9 +155,63 @@ class StepBand:
     upper_levels: np.ndarray
 
 
-def _group_cumulants(data):
+def _pair_chunks(data, family):
+    """Yield (js, ks, z, m, rows, starts) for runs of whole family rows.
+
+    Each chunk holds about _PAIR_CHUNK pairs (at least one row), row-major;
+    rows are the chunk's start indices and starts the offset of each row.
+    """
     b = data.group_bounds
-    return b, data.prefix_sums[b]
+    ps = data.prefix_sums[b]
+    row_j = family.row_j
+    k_values = family.k_values
+    first = family.row_first_k
+    row_sizes = k_values.shape[0] - first
+    cum = np.concatenate(([0], np.cumsum(row_sizes)))
+    n_rows = row_j.shape[0]
+    r0 = 0
+    while r0 < n_rows:
+        r1 = int(np.searchsorted(cum, cum[r0] + _PAIR_CHUNK, side="left"))
+        r1 = min(max(r1, r0 + 1), n_rows)
+        js = np.repeat(row_j[r0:r1], row_sizes[r0:r1])
+        ks = np.concatenate([k_values[f:] for f in first[r0:r1].tolist()])
+        starts = cum[r0:r1] - cum[r0]
+        yield js, ks, ps[ks + 1] - ps[js], b[ks + 1] - b[js], row_j[r0:r1], starts
+        r0 = r1
+
+
+class _Survivors:
+    """Pairs kept for one side, bounded exactly in batches of _CHUNK_MIN.
+
+    Batching across chunks keeps cp_bounds_batch calls large enough for
+    its thread path although each chunk keeps only a fraction of its pairs.
+    """
+
+    def __init__(self, delta, upper, out):
+        self.delta = delta
+        self.upper = upper
+        self.out = out
+        self.pieces = []
+        self.size = 0
+
+    def add(self, keep, z, m, index):
+        self.pieces.append((z[keep], m[keep], index[keep]))
+        self.size += self.pieces[-1][0].shape[0]
+        if self.size >= _CHUNK_MIN:
+            self.flush()
+
+    def flush(self):
+        if not self.size:
+            return
+        z, m, index = (np.concatenate(p) for p in zip(*self.pieces))
+        self.pieces, self.size = [], 0
+        lo, up = cp_bounds_batch(
+            z, m, self.delta, lower_where=not self.upper, upper_where=self.upper
+        )
+        if self.upper:
+            np.minimum.at(self.out, index, up)
+        else:
+            np.maximum.at(self.out, index, lo)
 
 
 def raw_band(data, family, alpha):
@@ -175,9 +233,18 @@ def raw_band(data, family, alpha):
         lower(x_i) = max over pairs with k <= i of the pair's lower bound,
         with empty min = 1 and empty max = 0.
 
-    Each pair's bounds are evaluated exactly once; the per-knot extremes
-    come from a suffix-min over row minima (upper) and a running max per
-    end index (lower).
+    Two passes over the pairs. The first takes the closed-form brackets of
+    cp_brackets and sweeps their outer ends: reach_u[j], the suffix-min over
+    rows j' >= j of the upper brackets' high ends, and reach_l[k], the
+    prefix-max over columns k' <= k of the lower brackets' low ends. The
+    second bounds a pair's upper side exactly only if the low end of its
+    upper bracket is <= reach_u[j], and its lower side only if the high end
+    of its lower bracket is >= reach_l[k]; the per-knot extremes then come
+    from a suffix-min over row minima and a prefix-max over column maxima.
+    The band is the same as bounding every pair: the pair attaining
+    upper(x_i) has j >= i and a bound <= upper(x_j) <= reach_u[j], so its
+    bracket passes the test (likewise for the lower side), because
+    cp_bounds_batch keeps every bound inside its bracket.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1)")
@@ -185,33 +252,26 @@ def raw_band(data, family, alpha):
         raise ValueError("index family was built from different data")
     delta = alpha / family.correction
     n_groups = data.n_groups
-    b, ps = _group_cumulants(data)
 
-    row_j = family.row_j
-    k_values = family.k_values
-    first = family.row_first_k
-    n_cols = k_values.shape[0]
-    row_sizes = n_cols - first
-    cum = np.concatenate(([0], np.cumsum(row_sizes)))
+    rowmin_b = np.full(n_groups, np.inf)
+    colmax_b = np.full(n_groups, -np.inf)
+    for js, ks, z, m, rows, starts in _pair_chunks(data, family):
+        lower_lo, _, _, upper_hi = cp_brackets(z, m, delta)
+        rowmin_b[rows] = np.minimum.reduceat(upper_hi, starts)
+        np.maximum.at(colmax_b, ks, lower_lo)
+    reach_u = np.minimum.accumulate(rowmin_b[::-1])[::-1]
+    reach_l = np.maximum.accumulate(colmax_b)
 
     rowmin_u = np.full(n_groups, np.inf)
     colmax_l = np.full(n_groups, -np.inf)
-
-    n_rows = row_j.shape[0]
-    r0 = 0
-    while r0 < n_rows:
-        r1 = int(np.searchsorted(cum, cum[r0] + _PAIR_CHUNK, side="left"))
-        r1 = max(r1, r0 + 1)
-        sizes = row_sizes[r0:r1]
-        js = np.repeat(row_j[r0:r1], sizes)
-        ks = np.concatenate([k_values[f:] for f in first[r0:r1].tolist()])
-        m = b[ks + 1] - b[js]
-        z = ps[ks + 1] - ps[js]
-        lo, up = cp_bounds_batch(z, m, delta)
-        starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-        rowmin_u[row_j[r0:r1]] = np.minimum.reduceat(up, starts)
-        np.maximum.at(colmax_l, ks, lo)
-        r0 = r1
+    uppers = _Survivors(delta, True, rowmin_u)
+    lowers = _Survivors(delta, False, colmax_l)
+    for js, ks, z, m, _, _ in _pair_chunks(data, family):
+        _, lower_hi, upper_lo, _ = cp_brackets(z, m, delta)
+        uppers.add(upper_lo <= reach_u[js], z, m, js)
+        lowers.add(lower_hi >= reach_l[ks], z, m, ks)
+    uppers.flush()
+    lowers.flush()
 
     upper = np.minimum.accumulate(rowmin_u[::-1])[::-1]
     upper = np.where(np.isfinite(upper), upper, 1.0)

@@ -345,7 +345,7 @@ def _cmd_band(args):
     else:
         band = yb_band(data, fit, args.alpha)
 
-    report = isotonicity_report(data, fam, args.alpha)
+    report = isotonicity_report(data, fam, rawb, args.alpha)
     if report.crossing_regions:
         print(
             f"calband: warning: raw band crosses itself at alpha={args.alpha}; "

@@ -211,11 +211,15 @@ def gamma_lower_bound(data, family, alpha):
     return _gamma_from_band(raw_band(data, family, alpha))
 
 
-def isotonicity_report(data, family, alpha):
-    """Bundle p-value, gamma bound, and crossing regions at one level."""
+def isotonicity_report(data, family, band, alpha):
+    """Bundle p-value, gamma bound, and crossing regions at one level.
+
+    band is raw_band(data, family, alpha), which the caller has already
+    built for its own use; the report reads gamma and the crossing regions
+    from it instead of building it again.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1)")
-    band = raw_band(data, family, alpha)
     return IsotonicityReport(
         p_value=isotonicity_pvalue(data, family),
         gamma_hat=_gamma_from_band(band),

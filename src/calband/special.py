@@ -5,6 +5,14 @@ stated absolute tolerances on the ranges the bands need (a, b up to a few
 thousand). The batch evaluator at the bottom is the performance path for
 band construction and is backed by scipy's compiled incomplete-beta
 inverse; a test pins it to the scalar route.
+
+cp_brackets puts each batch bound inside a closed-form bracket
+(Hoeffding on one side, the binary method-of-types bound on the other),
+which lets band construction skip the pairs that cannot set a band level.
+cp_bounds_batch guards the inverse with the same brackets: a bound that
+comes back outside its bracket, NaN included, is solved again by
+bisection on the incomplete beta function, so every returned bound lies
+inside its bracket.
 """
 
 import math
@@ -23,6 +31,7 @@ __all__ = [
     "cp_upper",
     "cp_lower",
     "cp_bounds_batch",
+    "cp_brackets",
     "reg_inc_gamma_upper",
     "chi2_survival",
     "DELTA_FLOOR",
@@ -45,6 +54,12 @@ _CDF_SUM_LIMIT = 50
 
 THREADS_ENV = "CALBAND_THREADS"
 _CHUNK_MIN = 200_000
+
+#: Absolute widening of every cp_brackets end. The closed forms round at
+#: about 1e-16 and betaincinv is good to about 1e-14 relative on values in
+#: [0, 1], so the widened brackets contain the computed bounds, not only
+#: the exact ones.
+_BRACKET_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -307,15 +322,15 @@ def thread_count():
     return t
 
 
-def _chunked_betaincinv(a, b, p, out):
-    # Fill out[:] = betaincinv(a, b, p), optionally split across threads.
-    # Each worker writes a disjoint slice of the preallocated result, so
-    # the answer is independent of scheduling.
+def _chunked_betaincinv(a, b, p):
+    # betaincinv(a, b, p), optionally split across threads. Each worker
+    # writes a disjoint slice of the preallocated result, so the answer is
+    # independent of scheduling.
     t = thread_count()
     size = a.shape[0]
     if t == 1 or size < _CHUNK_MIN:
-        out[:] = _sps.betaincinv(a, b, p)
-        return
+        return _sps.betaincinv(a, b, p)
+    out = np.empty(size, dtype=np.float64)
     bounds = np.linspace(0, size, t + 1, dtype=np.int64)
 
     def work(i):
@@ -324,13 +339,83 @@ def _chunked_betaincinv(a, b, p, out):
 
     with ThreadPoolExecutor(max_workers=t) as pool:
         list(pool.map(work, range(t)))
+    return out
 
 
-def cp_bounds_batch(z, m, delta):
+def cp_brackets(z, m, delta):
+    """Closed-form brackets around cp_lower and cp_upper, elementwise.
+
+    Returns float64 arrays (lower_lo, lower_hi, upper_lo, upper_hi) with
+    lower_lo <= cp_lower(z, m, delta) <= lower_hi and
+    upper_lo <= cp_upper(z, m, delta) <= upper_hi. With q = z/m:
+
+    - upper_hi = min(1, q + sqrt(log(1/delta)/(2m))), Hoeffding's bound.
+    - upper_lo is the larger root p of m(p-q)^2 = c p(1-p) with
+      c = log(1/delta) - log(m+1). At that p, P(Bin(m,p) = z) >=
+      exp(-m KL(q||p))/(m+1) >= exp(-c)/(m+1) = delta, by the binary
+      method-of-types bound and KL(q||p) <= (p-q)^2/(p(1-p)); so the
+      binomial CDF at z still reaches delta there.
+      When c <= 0 the root is q itself, which the median of Bin(m, q)
+      justifies for delta <= 1/2; above 1/2 the end is 0.
+    - lower_lo and lower_hi mirror these through
+      cp_lower(z, m) = 1 - cp_upper(m-z, m); lower_hi is the smaller root.
+
+    Every end is widened by _BRACKET_SLACK = 1e-9, so the brackets also
+    hold the rounded values cp_bounds_batch returns.
+    """
+    zf = np.asarray(z, dtype=np.float64)
+    mf = np.asarray(m, dtype=np.float64)
+    log_inv = -math.log(delta)
+    q = zf / mf
+    h = np.sqrt(log_inv / (2.0 * mf))
+    upper_hi = np.minimum(q + h, 1.0) + _BRACKET_SLACK
+    lower_lo = np.maximum(q - h, 0.0) - _BRACKET_SLACK
+    if delta > 0.5:
+        ones = np.ones_like(q)
+        return lower_lo, ones + _BRACKET_SLACK, -_BRACKET_SLACK * ones, upper_hi
+    c = np.maximum(log_inv - np.log1p(mf), 0.0)
+    root = np.sqrt(c * (c + 4.0 * zf * (mf - zf) / mf))
+    s = 2.0 * zf + c + root
+    upper_lo = s / (2.0 * (mf + c)) - _BRACKET_SLACK
+    # the smaller root 2z^2 / (m s), written without cancellation; the
+    # floor on s only matters at z = 0, where the root is 0
+    lower_hi = q * (2.0 * zf / np.maximum(s, 1.0)) + _BRACKET_SLACK
+    return lower_lo, lower_hi, upper_lo, upper_hi
+
+
+def _bisect_betainc(a, b, p, lo, hi):
+    """Largest x found in [lo, hi] with betainc(a, b, x) < p, elementwise.
+
+    Bisects down to adjacent floats. Returning the low end rounds the root
+    down, which is outward for both sides of cp_bounds_batch.
+    """
+    lo = np.clip(lo, 0.0, 1.0)
+    hi = np.clip(hi, 0.0, 1.0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (lo < mid) & (mid < hi)
+        if not open_.any():
+            return lo
+        below = _sps.betainc(a, b, mid) < p
+        lo = np.where(open_ & below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+
+
+def cp_bounds_batch(z, m, delta, lower_where=True, upper_where=True):
     """Vectorized (cp_lower, cp_upper) over integer arrays z and m.
 
     Same dual-tail formulas as the scalar functions, evaluated through
     scipy's compiled inverse incomplete beta. Returns two float64 arrays.
+
+    lower_where and upper_where select, like numpy's where=, which entries
+    of each side to evaluate: a bool or a bool array broadcastable to z.
+    Entries not selected are NaN.
+
+    Every evaluated bound lies inside its cp_brackets bracket. betaincinv
+    can miss its root by far (scipy 1.17.1 puts the beta(9105, 1000)
+    quantile at 0.05/500500 at 0.7495; the root is 0.8849), so a value
+    outside its bracket is solved again by bisection on betainc within
+    the bracket and rounded outward.
     """
     z = np.asarray(z, dtype=np.int64)
     m = np.asarray(m, dtype=np.int64)
@@ -345,21 +430,41 @@ def cp_bounds_batch(z, m, delta):
     if z.size and (m.min() < 1 or z.min() < 0 or (z > m).any()):
         raise ValueError("need 0 <= z <= m and m >= 1 elementwise")
 
+    lower = np.full(z.shape, np.nan)
+    upper = np.full(z.shape, np.nan)
+    sel_lo = np.broadcast_to(lower_where, z.shape)
+    sel_up = np.broadcast_to(upper_where, z.shape)
+    lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
     zf = z.astype(np.float64)
     mf = m.astype(np.float64)
-    at_top = z == m
-    at_zero = z == 0
 
-    upper = np.empty(z.shape, dtype=np.float64)
-    # Dummy shape 1.0 where z == m keeps betaincinv in-domain; overwritten.
-    a_up = np.where(at_top, 1.0, mf - zf)
-    _chunked_betaincinv(a_up, zf + 1.0, delta, upper)
-    np.subtract(1.0, upper, out=upper)
-    upper[at_top] = 1.0
+    if sel_up.any():
+        zs, ms = zf[sel_up], mf[sel_up]
+        lo, hi = upper_lo[sel_up], upper_hi[sel_up]
+        top = zs == ms
+        # Dummy shape 1.0 where z == m keeps betaincinv in-domain; overwritten.
+        a, b = np.where(top, 1.0, ms - zs), zs + 1.0
+        up = 1.0 - _chunked_betaincinv(a, b, delta)
+        bad = ~top & ~((up >= lo) & (up <= hi))
+        if bad.any():
+            w = _bisect_betainc(a[bad], b[bad], delta, 1.0 - hi[bad], 1.0 - lo[bad])
+            up[bad] = np.clip(
+                np.nextafter(1.0 - w, 2.0), lo[bad], np.minimum(hi[bad], 1.0)
+            )
+        up[top] = 1.0
+        upper[sel_up] = up
 
-    lower = np.empty(z.shape, dtype=np.float64)
-    a_lo = np.where(at_zero, 1.0, zf)
-    _chunked_betaincinv(a_lo, mf - zf + 1.0, delta, lower)
-    lower[at_zero] = 0.0
+    if sel_lo.any():
+        zs, ms = zf[sel_lo], mf[sel_lo]
+        lo, hi = lower_lo[sel_lo], lower_hi[sel_lo]
+        zero = zs == 0.0
+        a, b = np.where(zero, 1.0, zs), ms - zs + 1.0
+        low = _chunked_betaincinv(a, b, delta)
+        bad = ~zero & ~((low >= lo) & (low <= hi))
+        if bad.any():
+            w = _bisect_betainc(a[bad], b[bad], delta, lo[bad], hi[bad])
+            low[bad] = np.clip(w, lo[bad], hi[bad])
+        low[zero] = 0.0
+        lower[sel_lo] = low
 
     return lower, upper

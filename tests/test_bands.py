@@ -11,6 +11,7 @@ from _reference import (
     random_sorted_data,
     rounded_pairs_bruteforce,
 )
+import calband.bands as bands_module
 from calband.bands import (
     StepBand,
     evaluate_band,
@@ -21,7 +22,7 @@ from calband.bands import (
     yb_band,
 )
 from calband.isotonic import IsotonicFit, build_sorted_data, pava
-from calband.special import cp_lower
+from calband.special import _CHUNK_MIN, cp_lower
 
 
 def _data(x, y):
@@ -160,6 +161,81 @@ def test_raw_band_matches_naive_sweep_exactly():
             want = naive_raw_band(d, fam, alpha=0.05)
             np.testing.assert_array_equal(got.lower_levels, want.lower_levels)
             np.testing.assert_array_equal(got.upper_levels, want.upper_levels)
+
+
+def _tied_data(rng, n, levels, p):
+    x = rng.integers(1, levels + 1, size=n) / (levels + 1)
+    return _data(x, rng.random(n) < p)
+
+
+def test_raw_band_pruning_matches_naive_beyond_criterion_4():
+    # extreme alphas are the p-value's probes; with few tie groups the
+    # Bonferroni delta exceeds 1/(m+1) for large groups, so the brackets'
+    # c <= 0 branch decides there
+    rng = np.random.default_rng(97)
+    cases = [
+        _tied_data(rng, 600, 4, 0.3),
+        _tied_data(rng, 900, 12, rng.random(900)),
+        _tied_data(rng, 400, 40, 0.9),
+        _data(np.linspace(0.01, 0.99, 300), np.zeros(300)),
+        _data(np.linspace(0.01, 0.99, 300), np.ones(300)),
+        _data(rng.random(500), rng.random(500) < 0.5),
+        random_sorted_data(rng, 450),
+    ]
+    fallback = 0
+    for d in cases:
+        for fam in (full_index_family(d), rounded_index_family(d, K=50)):
+            js, ks = fam.pairs
+            m = d.group_bounds[ks + 1] - d.group_bounds[js]
+            for alpha in (1e-8, 0.05, 1.0 - 1e-6):
+                fallback += bool((m + 1 >= fam.correction / alpha).any())
+                got = raw_band(d, fam, alpha)
+                want = naive_raw_band(d, fam, alpha)
+                np.testing.assert_array_equal(got.lower_levels, want.lower_levels)
+                np.testing.assert_array_equal(got.upper_levels, want.upper_levels)
+    assert fallback >= 4
+
+
+def _record_batches(monkeypatch):
+    """Record (size, bounds asked for) of each cp_bounds_batch call raw_band makes."""
+    calls = []
+    real = bands_module.cp_bounds_batch
+
+    def spy(z, m, delta, lower_where=True, upper_where=True):
+        n = np.shape(z)[0]
+        asked = np.broadcast_to(lower_where, n).sum()
+        asked += np.broadcast_to(upper_where, n).sum()
+        calls.append((n, asked))
+        return real(z, m, delta, lower_where, upper_where)
+
+    monkeypatch.setattr(bands_module, "cp_bounds_batch", spy)
+    return calls
+
+
+def test_raw_band_bounds_only_pairs_that_can_set_a_level(monkeypatch):
+    calls = _record_batches(monkeypatch)
+    rng = np.random.default_rng(101)
+    x = rng.random(20000)
+    d = _data(x, rng.random(20000) < x)
+    fam = rounded_index_family(d, K=100)
+    raw_band(d, fam, alpha=0.05)
+    # bounding both sides of every pair would take 2 * pair_count
+    assert 0 < sum(asked for _, asked in calls) < fam.pair_count
+
+
+def test_raw_band_thread_count_does_not_change_levels(monkeypatch):
+    calls = _record_batches(monkeypatch)
+    rng = np.random.default_rng(103)
+    d = _data(rng.random(1500), rng.random(1500) < 0.3)
+    fam = full_index_family(d)
+    monkeypatch.delenv("CALBAND_THREADS", raising=False)
+    one = raw_band(d, fam, alpha=0.05)
+    # survivors still reach betaincinv in batches big enough for threads
+    assert max(n for n, _ in calls) >= _CHUNK_MIN
+    monkeypatch.setenv("CALBAND_THREADS", "2")
+    two = raw_band(d, fam, alpha=0.05)
+    np.testing.assert_array_equal(one.lower_levels, two.lower_levels)
+    np.testing.assert_array_equal(one.upper_levels, two.upper_levels)
 
 
 def test_raw_band_levels_are_nondecreasing():

@@ -154,7 +154,7 @@ def test_gamma_validates_alpha():
 def test_report_bundles_consistent_fields():
     d = _two_block_data(12)
     fam = full_index_family(d)
-    rep = isotonicity_report(d, fam, alpha=0.05)
+    rep = isotonicity_report(d, fam, raw_band(d, fam, 0.05), alpha=0.05)
     assert rep.alpha == 0.05
     assert rep.p_value < 0.05
     assert rep.gamma_hat == pytest.approx(
@@ -165,7 +165,8 @@ def test_report_bundles_consistent_fields():
 
 def test_report_clean_data_has_empty_regions():
     d = _data(np.linspace(0.1, 0.9, 8), [0, 0, 0, 0, 1, 1, 1, 1])
-    rep = isotonicity_report(d, full_index_family(d), alpha=0.05)
+    fam = full_index_family(d)
+    rep = isotonicity_report(d, fam, raw_band(d, fam, 0.05), alpha=0.05)
     assert rep.p_value == 1.0
     assert rep.gamma_hat == 0.0
     assert rep.crossing_regions == []
@@ -178,7 +179,7 @@ def test_crossing_signals_agree_across_random_data():
     crossings = 0
     for d in datasets:
         fam = full_index_family(d)
-        rep = isotonicity_report(d, fam, alpha=0.3)
+        rep = isotonicity_report(d, fam, raw_band(d, fam, 0.3), alpha=0.3)
         has_regions = bool(rep.crossing_regions)
         assert has_regions == (rep.gamma_hat > 0.0)
         if has_regions:

@@ -20,6 +20,7 @@ from calband.special import (
     binom_cdf,
     chi2_survival,
     cp_bounds_batch,
+    cp_brackets,
     cp_lower,
     cp_upper,
     reg_inc_beta,
@@ -252,6 +253,52 @@ def test_cp_hoeffding_envelope_grid():
                 assert cp_lower(z, m, delta) >= q - margin - 1e-12
 
 
+def test_cp_brackets_contain_exact_bounds():
+    deltas = (0.9, 0.5, 0.3, 0.05, 1e-6, 1e-30, 1e-100, 1e-200, 1e-300)
+    for delta in deltas:
+        for m in (1, 2, 3, 5, 10, 40, 100, 1000, 10104, 200000):
+            z = np.unique(np.linspace(0, m, min(m + 1, 301)).astype(np.int64))
+            mm = np.full(z.shape, m)
+            lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, mm, delta)
+            lo, up = cp_bounds_batch(z, mm, delta)
+            assert ((lower_lo <= lo) & (lo <= lower_hi)).all()
+            assert ((upper_lo <= up) & (up <= upper_hi)).all()
+            # the Hoeffding ends are the envelope above
+            margin = math.sqrt(math.log(1.0 / delta) / (2.0 * m))
+            assert (upper_hi <= np.minimum(z / m + margin, 1.0) + 1e-9).all()
+            assert (lower_lo >= np.maximum(z / m - margin, 0.0) - 1e-9).all()
+            if m <= 100 and delta >= 1e-6:
+                # the math-module route is independent of scipy
+                for i, zi in enumerate(z.tolist()):
+                    assert lower_lo[i] <= cp_lower(zi, m, delta) <= lower_hi[i]
+                    assert upper_lo[i] <= cp_upper(zi, m, delta) <= upper_hi[i]
+
+
+def test_cp_brackets_are_tight_where_they_prune():
+    z = np.array([0, 3, 50, 500, 9105])
+    m = np.array([40, 40, 100, 1000, 10104])
+    lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, 1e-7)
+    assert (upper_hi - upper_lo < 0.25).all()
+    assert (lower_hi - lower_lo < 0.25).all()
+    # the method-of-types ends sit on the far side of the rate
+    q = z / m
+    assert (upper_lo >= q - 1e-9).all()
+    assert (lower_hi <= q + 1e-9).all()
+
+
+def test_cp_bounds_batch_corrects_silent_betaincinv_misses():
+    # scipy 1.17.1 returns 0.7495 for this quantile, where betainc is 0
+    delta = 0.05 / 500500
+    lo, up = cp_bounds_batch(np.array([9105]), np.array([10104]), delta)
+    assert abs(lo[0] - 0.884909307294384) <= 1e-12
+    assert sps.betainc(9105, 1000, lo[0]) <= delta
+    # betaincinv returns NaN at these tails; the bisection still roots them
+    lo, up = cp_bounds_batch(np.array([2, 3]), np.array([5, 5]), 1e-300)
+    assert lo[0] == pytest.approx(math.sqrt(1e-301), rel=1e-9)
+    assert lo[1] == pytest.approx((1e-300 / 10.0) ** (1.0 / 3.0), rel=1e-9)
+    assert (up == 1.0).all()
+
+
 def test_cp_validity_by_simulation():
     rng = np.random.default_rng(53)
     m, delta, reps = 30, 0.1, 2000
@@ -295,6 +342,20 @@ def test_cp_bounds_batch_matches_scalar():
             assert abs(lo[i] - cp_lower(int(z[i]), int(m[i]), delta)) <= 1e-10
             assert abs(up[i] - cp_upper(int(z[i]), int(m[i]), delta)) <= 1e-10
         assert (lo <= up).all()
+
+
+def test_cp_bounds_batch_side_masks():
+    z = np.array([0, 1, 4, 7, 7])
+    m = np.array([7, 7, 7, 7, 9])
+    lo, up = cp_bounds_batch(z, m, 1e-3)
+    want = np.array([True, False, True, False, True])
+    lo_m, up_m = cp_bounds_batch(z, m, 1e-3, lower_where=want, upper_where=~want)
+    np.testing.assert_array_equal(lo_m[want], lo[want])
+    np.testing.assert_array_equal(up_m[~want], up[~want])
+    assert np.isnan(lo_m[~want]).all() and np.isnan(up_m[want]).all()
+    lo_u, up_u = cp_bounds_batch(z, m, 1e-3, lower_where=False)
+    assert np.isnan(lo_u).all()
+    np.testing.assert_array_equal(up_u, up)
 
 
 def test_cp_bounds_batch_validation():
