@@ -7,6 +7,12 @@ summaries under --out-dir. The full sweep is expensive (hours, not
 minutes); use --reps/--sizes/--families/--methods to carve out a slice,
 or --quick for a fast smoke pass of the same plumbing.
 
+A cell is one (family, shape, size). All methods of a cell run in one
+pass, so each replication's dataset and raw band are built once and shared
+by the raw, nc and yb bands; the records and summaries are still written
+per method. After each cell a progress line gives the cell's time and an
+estimate of the time left, followed by one line per method.
+
 Every cell is independently reproducible: repetition r of a cell uses the
 Philox key seed + r, so partial reruns agree with the full sweep.
 """
@@ -65,6 +71,12 @@ def parse_args(argv):
     return args
 
 
+def _clock(seconds):
+    """Render a duration as h:mm:ss."""
+    minutes, secs = divmod(int(round(seconds)), 60)
+    return f"{minutes // 60}:{minutes % 60:02d}:{secs:02d}"
+
+
 def main(argv=None):
     args = parse_args(argv)
     sizes = [int(v) for v in args.sizes.split(",") if v]
@@ -80,37 +92,46 @@ def main(argv=None):
         except ValueError:
             print(f"skip {kind} s={s}: outside the family's range", file=sys.stderr)
             continue
-        cells += [(family, n, m) for n, m in itertools.product(sizes, methods)]
+        cells += [(family, n) for n in sizes]
 
     iso_rows = []
     start = time.perf_counter()
-    for idx, (family, n, method) in enumerate(cells, start=1):
-        stem = f"{family.kind}_s{family.s:g}_n{n}_{method}"
+    for idx, (family, n) in enumerate(cells, start=1):
+        cell = f"{family.kind}_s{family.s:g}_n{n}"
         t0 = time.perf_counter()
-        result = run_experiment(
+        results = run_experiment(
             family,
             n,
             alpha=args.alpha,
-            method=method,
+            methods=methods,
             index_family="rounded",
             K=args.K,
             reps=args.reps,
             base_seed=args.seed,
         )
-        write_records_csv(result, args.out_dir / f"{stem}.records.csv")
-        write_summary_json(result, args.out_dir / f"{stem}.summary.json")
-        if family.kind == "wave" and method == methods[0]:
-            iso_rows.append((family.s, n, result.rejection_rate))
-        dt = time.perf_counter() - t0
+        lines = []
+        for method, result in results.items():
+            stem = f"{cell}_{method}"
+            write_records_csv(result, args.out_dir / f"{stem}.records.csv")
+            write_summary_json(result, args.out_dir / f"{stem}.summary.json")
+            lines.append(
+                f"  {stem}: coverage={result.coverage_rate:.3f} "
+                f"rejection={result.rejection_rate:.3f}"
+            )
+        if family.kind == "wave":
+            iso_rows.append((family.s, n, results[methods[0]].rejection_rate))
+        now = time.perf_counter()
+        eta = (now - start) / idx * (len(cells) - idx)
         print(
-            f"[{idx}/{len(cells)}] {stem}: coverage={result.coverage_rate:.3f} "
-            f"rejection={result.rejection_rate:.3f} ({dt:.1f}s)",
+            f"[{idx}/{len(cells)}] {cell} ({now - t0:.1f}s, eta {_clock(eta)})",
+            *lines,
+            sep="\n",
             flush=True,
         )
 
     if iso_rows:
-        # rejection rates are a property of the raw band, recorded in every
-        # run whatever the summarized method, so one method's pass suffices
+        # rejection rates are a property of the raw band, shared by every
+        # method of a cell, so the first method's result suffices
         table = args.out_dir / "iso_table.csv"
         with open(table, "w", encoding="utf-8") as fh:
             fh.write("s,n,rejection_rate\n")

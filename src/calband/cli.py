@@ -542,12 +542,12 @@ def _cmd_simulate(args):
         family,
         n,
         alpha=alpha,
-        method=method,
+        methods=(method,),
         index_family=index_family,
         K=K,
         reps=reps,
         base_seed=seed,
-    )
+    )[method]
     if args.out_csv:
         write_records_csv(result, args.out_csv)
     if args.out_json:
@@ -607,12 +607,12 @@ def _cmd_table(args):
             family,
             n,
             alpha=alpha,
-            method="raw",
+            methods=("raw",),
             index_family=index_family,
             K=K,
             reps=reps,
             base_seed=seed,
-        )
+        )["raw"]
         rows.append((s, n, res.rejection_rate))
 
     s_vals = sorted({r[0] for r in rows})

@@ -161,6 +161,10 @@ def _band_crosses(band):
 
 
 def _crossing_regions(band):
+    # _band_crosses tests exactly the pieces scanned below, so a band that
+    # never crosses skips building the segment list (about 2N tuples)
+    if not _band_crosses(band):
+        return []
     parts = []
     for a, b, ai, bi, low, up in _segments(band, float(band.knots[0]), float(band.knots[-1])):
         if low > up:

@@ -2,8 +2,10 @@
 
 Five one-parameter regression families, a Bernoulli sampler, and a
 replication loop that records per-repetition coverage, isotonicity
-rejections, and band widths on a fixed grid. Replications are keyed by
-a counter-based generator so any cell of a sweep can be reproduced in
+rejections, and band widths on a fixed grid. One loop serves several
+band methods: each replication's dataset and raw band are built once and
+shared by the raw, nc and yb bands. Replications are keyed by a
+counter-based generator so any cell of a sweep can be reproduced in
 isolation from (base_seed, rep) alone.
 """
 
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 FAMILY_KINDS = ("monomial", "sshaped", "kink", "step", "wave")
+_METHODS = ("raw", "nc", "yb")
 RNG_NAME = "philox4x64"
 
 _S_RANGES = {
@@ -199,7 +202,7 @@ def run_experiment(
     family,
     n,
     alpha=0.05,
-    method="nc",
+    methods=("nc",),
     index_family="rounded",
     K=1000,
     reps=200,
@@ -207,14 +210,25 @@ def run_experiment(
 ):
     """Replicate band construction on synthetic data and record outcomes.
 
+    Returns {method: ExperimentResult} in the order of methods. Each
+    replication draws one dataset and builds one raw band; every method's
+    band is derived from them, so all methods are compared on the same
+    data at the cost of a single raw band.
+
     covered asks whether the whole curve p stays inside the extrapolated
     band; knot_coverage is the fraction of sample knots covering p;
-    iso_rejected reports whether the raw band (always built, whatever
-    method is summarized) crossed itself. widths are upper minus lower on
-    the percent grid.
+    iso_rejected reports whether the raw band crossed itself, so it is the
+    same for every method. widths are upper minus lower on the percent
+    grid.
     """
-    if method not in ("raw", "nc", "yb"):
-        raise ValueError(f"unknown method {method!r}")
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError("need at least one method")
+    for method in methods:
+        if method not in _METHODS:
+            raise ValueError(f"unknown method {method!r}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"duplicate method in {methods!r}")
     if index_family not in ("full", "rounded"):
         raise ValueError(f"unknown index family {index_family!r}")
     if not 0.0 < alpha < 1.0:
@@ -227,10 +241,12 @@ def run_experiment(
     grid = _WIDTH_GRID.copy()
     checks = _checkpoints(family)
     p_checks = eval_p(family, checks)
-    covered = np.zeros(reps, dtype=bool)
-    knot_cov = np.zeros(reps, dtype=np.float64)
+    shape = (len(methods), reps)
+    covered = np.zeros(shape, dtype=bool)
+    knot_cov = np.zeros(shape, dtype=np.float64)
     rejected = np.zeros(reps, dtype=bool)
-    widths = np.zeros((reps, grid.shape[0]), dtype=np.float64)
+    widths = np.zeros(shape + grid.shape, dtype=np.float64)
+    needs_fit = "nc" in methods or "yb" in methods
 
     for rep in range(reps):
         rng = _rep_rng(base_seed, rep)
@@ -240,41 +256,47 @@ def run_experiment(
         else:
             fam = rounded_index_family(data, K)
         rawb = raw_band(data, fam, alpha)
-        if method == "raw":
-            band = rawb
-        elif method == "nc":
-            band = noncrossing_band(rawb, pava(data))
-        else:
-            band = yb_band(data, pava(data), alpha)
-
-        p_knots = eval_p(family, band.knots)
-        knot_ok = (band.lower_levels <= p_knots) & (p_knots <= band.upper_levels)
-        ok = bool(knot_ok.all())
-        if ok:
-            lo, up = evaluate_band(band, checks, extrapolate=True)
-            ok = bool(((lo <= p_checks) & (p_checks <= up)).all())
-        covered[rep] = ok
-        knot_cov[rep] = float(knot_ok.mean())
+        fit = pava(data) if needs_fit else None
+        # every band's knots are the data's distinct x values
+        p_knots = eval_p(family, rawb.knots)
         rejected[rep] = bool((rawb.lower_levels > rawb.upper_levels).any())
-        glo, gup = evaluate_band(band, grid, extrapolate=True)
-        widths[rep] = gup - glo
 
-    return ExperimentResult(
-        family=family,
-        n=n,
-        alpha=alpha,
-        method=method,
-        index_family=index_family,
-        K=K if index_family == "rounded" else None,
-        reps=reps,
-        base_seed=base_seed,
-        rng_name=RNG_NAME,
-        width_grid=grid,
-        covered=covered,
-        knot_coverage=knot_cov,
-        iso_rejected=rejected,
-        widths=widths,
-    )
+        for j, method in enumerate(methods):
+            if method == "raw":
+                band = rawb
+            elif method == "nc":
+                band = noncrossing_band(rawb, fit)
+            else:
+                band = yb_band(data, fit, alpha)
+            knot_ok = (band.lower_levels <= p_knots) & (p_knots <= band.upper_levels)
+            ok = bool(knot_ok.all())
+            if ok:
+                lo, up = evaluate_band(band, checks, extrapolate=True)
+                ok = bool(((lo <= p_checks) & (p_checks <= up)).all())
+            covered[j, rep] = ok
+            knot_cov[j, rep] = float(knot_ok.mean())
+            glo, gup = evaluate_band(band, grid, extrapolate=True)
+            widths[j, rep] = gup - glo
+
+    return {
+        method: ExperimentResult(
+            family=family,
+            n=n,
+            alpha=alpha,
+            method=method,
+            index_family=index_family,
+            K=K if index_family == "rounded" else None,
+            reps=reps,
+            base_seed=base_seed,
+            rng_name=RNG_NAME,
+            width_grid=grid.copy(),
+            covered=covered[j],
+            knot_coverage=knot_cov[j],
+            iso_rejected=rejected.copy(),
+            widths=widths[j],
+        )
+        for j, method in enumerate(methods)
+    }
 
 
 def _config_items(result):

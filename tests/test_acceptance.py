@@ -198,12 +198,12 @@ def test_criterion_06_simultaneous_coverage_at_small_sample():
             RegressionFamily(kind, 0.5),
             n=512,
             alpha=0.05,
-            method="raw",
+            methods=("raw",),
             index_family="rounded",
             K=1000,
             reps=200,
             base_seed=0,
-        )
+        )["raw"]
         elapsed = time.perf_counter() - t0
         lines.append(
             f"{kind} coverage {result.coverage_rate:.3f} in {elapsed:.0f}s"
@@ -225,12 +225,12 @@ def test_criterion_07_isotonicity_test_power_and_size():
             RegressionFamily("wave", s),
             n=2048,
             alpha=0.05,
-            method="raw",
+            methods=("raw",),
             index_family="rounded",
             K=1000,
             reps=200,
             base_seed=0,
-        )
+        )["raw"]
         rates[s] = result.rejection_rate
     elapsed = time.perf_counter() - t0
     print(
@@ -246,24 +246,22 @@ def test_criterion_07_isotonicity_test_power_and_size():
 def test_criterion_08_width_shrinks_with_n_and_nc_narrower_than_yb():
     """nc mean width at x=0.5 falls as n grows and never exceeds yb's.
 
-    Both methods see identical datasets (same base seed), so the width
+    Both methods are built in one run on identical datasets, so the width
     comparison holds rep by rep and survives averaging exactly.
     """
     mid_widths = []
     worst_gap = np.inf
     for n in (512, 2048, 8192):
-        runs = {}
-        for method in ("nc", "yb"):
-            runs[method] = run_experiment(
-                RegressionFamily("monomial", 0.5),
-                n=n,
-                alpha=0.05,
-                method=method,
-                index_family="rounded",
-                K=1000,
-                reps=100,
-                base_seed=0,
-            )
+        runs = run_experiment(
+            RegressionFamily("monomial", 0.5),
+            n=n,
+            alpha=0.05,
+            methods=("nc", "yb"),
+            index_family="rounded",
+            K=1000,
+            reps=100,
+            base_seed=0,
+        )
         assert runs["nc"].width_grid[50] == 0.5
         mid_widths.append(runs["nc"].mean_width[50])
         gap = runs["yb"].mean_width - runs["nc"].mean_width

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import calband.diagnostics
 from _reference import random_sorted_data
 from calband.bands import StepBand, evaluate_band, full_index_family, raw_band
 from calband.diagnostics import (
@@ -170,6 +171,23 @@ def test_report_clean_data_has_empty_regions():
     assert rep.p_value == 1.0
     assert rep.gamma_hat == 0.0
     assert rep.crossing_regions == []
+
+
+def test_non_crossing_band_skips_the_segment_list(monkeypatch):
+    def no_segments(*args):
+        raise AssertionError("segments built for a band that does not cross")
+
+    monkeypatch.setattr(calband.diagnostics, "_segments", no_segments)
+    d = _data(np.linspace(0.1, 0.9, 8), [0, 0, 0, 0, 1, 1, 1, 1])
+    fam = full_index_family(d)
+    assert isotonicity_report(d, fam, raw_band(d, fam, 0.05), 0.05).crossing_regions == []
+    # levels that touch, at a knot and across a gap, do not cross
+    touching = StepBand(
+        knots=np.array([0.2, 0.5, 0.8]),
+        lower_levels=np.array([0.3, 0.4, 0.6]),
+        upper_levels=np.array([0.3, 0.4, 0.7]),
+    )
+    assert calband.diagnostics._crossing_regions(touching) == []
 
 
 def test_crossing_signals_agree_across_random_data():

@@ -163,13 +163,13 @@ def test_simulate_dataset_rejects_empty_draw():
 
 def test_run_experiment_is_deterministic():
     fam = RegressionFamily("monomial", 0.5)
-    a = run_experiment(fam, n=64, reps=6, base_seed=11, K=100)
-    b = run_experiment(fam, n=64, reps=6, base_seed=11, K=100)
+    a = run_experiment(fam, n=64, reps=6, base_seed=11, K=100)["nc"]
+    b = run_experiment(fam, n=64, reps=6, base_seed=11, K=100)["nc"]
     np.testing.assert_array_equal(a.covered, b.covered)
     np.testing.assert_array_equal(a.knot_coverage, b.knot_coverage)
     np.testing.assert_array_equal(a.iso_rejected, b.iso_rejected)
     np.testing.assert_array_equal(a.widths, b.widths)
-    c = run_experiment(fam, n=64, reps=6, base_seed=12, K=100)
+    c = run_experiment(fam, n=64, reps=6, base_seed=12, K=100)["nc"]
     assert not np.array_equal(a.widths, c.widths)
 
 
@@ -177,8 +177,8 @@ def test_run_experiment_single_rep_reconstructs():
     # any repetition is reproducible in isolation from (base_seed, rep)
     fam = RegressionFamily("wave", 1.0)
     res = run_experiment(
-        fam, n=96, reps=4, base_seed=7, method="raw", index_family="full"
-    )
+        fam, n=96, reps=4, base_seed=7, methods=("raw",), index_family="full"
+    )["raw"]
     rep = 2
     data = simulate_dataset(fam, 96, _rep_generator(7, rep))
     band = raw_band(data, full_index_family(data), 0.05)
@@ -191,7 +191,7 @@ def test_run_experiment_single_rep_reconstructs():
 
 
 def test_run_experiment_aggregates_match_records():
-    res = run_experiment(RegressionFamily("sshaped", 0.5), n=48, reps=10, base_seed=3)
+    res = run_experiment(RegressionFamily("sshaped", 0.5), n=48, reps=10, base_seed=3)["nc"]
     assert res.coverage_rate == res.covered.mean()
     assert res.rejection_rate == res.iso_rejected.mean()
     assert res.mean_knot_coverage == pytest.approx(res.knot_coverage.mean(), abs=0)
@@ -203,25 +203,49 @@ def test_run_experiment_aggregates_match_records():
 def test_run_experiment_method_width_ordering():
     fam = RegressionFamily("kink", 0.5)
     kwargs = dict(n=80, reps=5, base_seed=21, index_family="full")
-    raw = run_experiment(fam, method="raw", **kwargs)
-    nc = run_experiment(fam, method="nc", **kwargs)
-    yb = run_experiment(fam, method="yb", **kwargs)
+    runs = run_experiment(fam, methods=("raw", "nc", "yb"), **kwargs)
+    raw, nc, yb = runs["raw"], runs["nc"], runs["yb"]
     assert (raw.widths <= nc.widths + 1e-12).all()
     assert (nc.widths <= yb.widths + 1e-12).all()
 
 
+@pytest.mark.parametrize("index_family", ["rounded", "full"])
+def test_run_experiment_methods_match_single_method_runs(index_family):
+    # one pass over all methods records exactly what one pass per method does
+    fam = RegressionFamily("wave", 1.0)
+    kwargs = dict(n=200, alpha=0.9, reps=6, base_seed=5, K=40, index_family=index_family)
+    together = run_experiment(fam, methods=("yb", "raw", "nc"), **kwargs)
+    assert list(together) == ["yb", "raw", "nc"]
+    for method, res in together.items():
+        alone = run_experiment(fam, methods=(method,), **kwargs)[method]
+        assert res.method == method
+        for name in ("covered", "knot_coverage", "iso_rejected", "widths", "width_grid"):
+            assert np.array_equal(getattr(res, name), getattr(alone, name)), name
+        assert _config(res) == _config(alone)
+        np.testing.assert_array_equal(res.iso_rejected, together["yb"].iso_rejected)
+    assert together["raw"].iso_rejected.any()  # the shared flag is exercised
+
+
+def _config(result):
+    return {
+        name: getattr(result, name)
+        for name in ("family", "n", "alpha", "method", "index_family", "K",
+                     "reps", "base_seed", "rng_name")
+    }
+
+
 def test_run_experiment_small_sample_coverage_sanity():
     res = run_experiment(
-        RegressionFamily("monomial", 0.5), n=128, reps=30, base_seed=2, method="raw"
-    )
+        RegressionFamily("monomial", 0.5), n=128, reps=30, base_seed=2, methods=("raw",)
+    )["raw"]
     assert res.coverage_rate >= 0.8
 
 
 def test_run_experiment_index_family_bookkeeping():
     fam = RegressionFamily("monomial", 0.2)
-    rounded = run_experiment(fam, n=32, reps=2, base_seed=0, K=50)
+    rounded = run_experiment(fam, n=32, reps=2, base_seed=0, K=50)["nc"]
     assert rounded.K == 50 and rounded.index_family == "rounded"
-    full = run_experiment(fam, n=32, reps=2, base_seed=0, index_family="full")
+    full = run_experiment(fam, n=32, reps=2, base_seed=0, index_family="full")["nc"]
     assert full.K is None and full.index_family == "full"
     assert full.rng_name == "philox4x64"
 
@@ -229,7 +253,13 @@ def test_run_experiment_index_family_bookkeeping():
 def test_run_experiment_validates_arguments():
     fam = RegressionFamily("monomial", 0.5)
     with pytest.raises(ValueError, match="method"):
-        run_experiment(fam, n=16, method="spline")
+        run_experiment(fam, n=16, methods=("spline",))
+    with pytest.raises(ValueError, match="at least one method"):
+        run_experiment(fam, n=16, methods=())
+    with pytest.raises(ValueError, match="duplicate method"):
+        run_experiment(fam, n=16, methods=("nc", "raw", "nc"))
+    with pytest.raises(ValueError, match="unknown method 'NC'"):
+        run_experiment(fam, n=16, methods=("raw", "NC"))
     with pytest.raises(ValueError, match="index family"):
         run_experiment(fam, n=16, index_family="dyadic")
     with pytest.raises(ValueError, match="alpha"):
@@ -245,7 +275,7 @@ def test_run_experiment_validates_arguments():
 
 
 def test_records_csv_round_trips_widths(tmp_path):
-    res = run_experiment(RegressionFamily("step", 0.5), n=40, reps=3, base_seed=9)
+    res = run_experiment(RegressionFamily("step", 0.5), n=40, reps=3, base_seed=9)["nc"]
     path = tmp_path / "records.csv"
     write_records_csv(res, path)
     lines = path.read_text().splitlines()
@@ -265,7 +295,7 @@ def test_records_csv_round_trips_widths(tmp_path):
 
 
 def test_summary_json_structure(tmp_path):
-    res = run_experiment(RegressionFamily("wave", 0.5), n=40, reps=4, base_seed=1)
+    res = run_experiment(RegressionFamily("wave", 0.5), n=40, reps=4, base_seed=1)["nc"]
     path = tmp_path / "summary.json"
     write_summary_json(res, path)
     doc = json.loads(path.read_text())
