@@ -7,12 +7,17 @@ variant of that family, and the wider Hoeffding-style band around
 isotonic block averages.
 
 The raw band needs, per knot, one extreme over the family's pair bounds.
-It sweeps the pairs twice: first with closed-form brackets around each
-bound, then exactly (betaincinv) only for the pairs whose bracket can still
-reach a knot's extreme. Per-knot values come from monotone suffix/prefix
-sweeps, so the full family costs O(|family|) brackets and at most that
-many exact bounds instead of O(N * |family|). The result is bit-identical
-to bounding every pair; raw_band's docstring gives the argument.
+It sweeps the pairs twice. The bracket pass (_bracket_levels) sweeps
+closed-form brackets around each bound into per-knot bracket levels; the
+exact pass (_exact_levels) runs betaincinv only for the pairs whose
+bracket can still reach a knot's extreme. Per-knot values come from
+monotone suffix/prefix sweeps, so the full family costs O(|family|)
+brackets and at most that many exact bounds instead of O(N * |family|).
+The result is bit-identical to bounding every pair; raw_band's docstring
+gives the argument. raw_band_crosses shares both passes to decide whether
+the band crosses without building it: the bracket levels settle most
+alphas alone, and the exact pass then needs only the pairs that can set a
+crossing level.
 """
 
 import math
@@ -28,6 +33,7 @@ __all__ = [
     "full_index_family",
     "rounded_index_family",
     "raw_band",
+    "raw_band_crosses",
     "noncrossing_band",
     "yb_band",
     "evaluate_band",
@@ -214,6 +220,63 @@ class _Survivors:
             np.maximum.at(self.out, index, lo)
 
 
+def _delta(data, family, alpha):
+    """Per-pair level alpha / correction, after checking the arguments."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha={alpha} outside (0, 1)")
+    if family.n_groups != data.n_groups:
+        raise ValueError("index family was built from different data")
+    return alpha / family.correction
+
+
+def _bracket_levels(data, family, delta):
+    """Per-knot brackets (L_lo, L_hi, U_lo, U_hi) around the band's levels.
+
+    L_lo and L_hi are prefix-maxima over columns k' <= k of the lower
+    brackets' two ends, U_lo and U_hi suffix-minima over rows j' >= j of
+    the upper brackets' two ends; so L_lo <= lower <= L_hi and
+    U_lo <= upper <= U_hi at every knot with a pair on that side. A knot
+    with no pair on a side gets -inf (lower) or +inf (upper).
+    """
+    n_groups = data.n_groups
+    rowmin = np.full((2, n_groups), np.inf)
+    colmax = np.full((2, n_groups), -np.inf)
+    for _, ks, z, m, rows, starts in _pair_chunks(data, family):
+        lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
+        rowmin[0, rows] = np.minimum.reduceat(upper_lo, starts)
+        rowmin[1, rows] = np.minimum.reduceat(upper_hi, starts)
+        np.maximum.at(colmax[0], ks, lower_lo)
+        np.maximum.at(colmax[1], ks, lower_hi)
+    L_lo, L_hi = np.maximum.accumulate(colmax, axis=1)
+    U_lo, U_hi = np.minimum.accumulate(rowmin[:, ::-1], axis=1)[:, ::-1]
+    return L_lo, L_hi, U_lo, U_hi
+
+
+def _exact_levels(data, family, delta, cap_u, floor_l):
+    """Exact (upper, lower) levels over the pairs whose brackets pass.
+
+    A pair's upper side is bounded exactly only if the low end of its
+    upper bracket is <= cap_u[j], its lower side only if the high end of
+    its lower bracket is >= floor_l[k]. upper is the suffix-min over rows
+    of those exact upper bounds, lower the prefix-max over columns of the
+    exact lower bounds; a knot with no such pair gets +inf or -inf.
+    """
+    n_groups = data.n_groups
+    rowmin_u = np.full(n_groups, np.inf)
+    colmax_l = np.full(n_groups, -np.inf)
+    uppers = _Survivors(delta, True, rowmin_u)
+    lowers = _Survivors(delta, False, colmax_l)
+    for js, ks, z, m, _, _ in _pair_chunks(data, family):
+        _, lower_hi, upper_lo, _ = cp_brackets(z, m, delta)
+        uppers.add(upper_lo <= cap_u[js], z, m, js)
+        lowers.add(lower_hi >= floor_l[ks], z, m, ks)
+    uppers.flush()
+    lowers.flush()
+    upper = np.minimum.accumulate(rowmin_u[::-1])[::-1]
+    lower = np.maximum.accumulate(colmax_l)
+    return upper, lower
+
+
 def raw_band(data, family, alpha):
     """Bonferroni-combined Clopper-Pearson band over an index family.
 
@@ -233,53 +296,55 @@ def raw_band(data, family, alpha):
         lower(x_i) = max over pairs with k <= i of the pair's lower bound,
         with empty min = 1 and empty max = 0.
 
-    Two passes over the pairs. The first takes the closed-form brackets of
-    cp_brackets and sweeps their outer ends: reach_u[j], the suffix-min over
-    rows j' >= j of the upper brackets' high ends, and reach_l[k], the
-    prefix-max over columns k' <= k of the lower brackets' low ends. The
-    second bounds a pair's upper side exactly only if the low end of its
-    upper bracket is <= reach_u[j], and its lower side only if the high end
-    of its lower bracket is >= reach_l[k]; the per-knot extremes then come
-    from a suffix-min over row minima and a prefix-max over column maxima.
-    The band is the same as bounding every pair: the pair attaining
-    upper(x_i) has j >= i and a bound <= upper(x_j) <= reach_u[j], so its
-    bracket passes the test (likewise for the lower side), because
-    cp_bounds_batch keeps every bound inside its bracket.
+    Two passes over the pairs. The bracket pass (_bracket_levels) sweeps
+    the closed-form brackets of cp_brackets into per-knot levels; U_hi[j]
+    caps upper(x_j) and L_lo[k] floors lower(x_k). The exact pass
+    (_exact_levels) bounds a pair's upper side only if the low end of its
+    upper bracket is <= U_hi[j], and its lower side only if the high end
+    of its lower bracket is >= L_lo[k]. The band is the same as bounding
+    every pair: the pair attaining upper(x_i) has j >= i and a bound
+    <= upper(x_j) <= U_hi[j], so its bracket passes the test (likewise for
+    the lower side), because cp_bounds_batch keeps every bound inside its
+    bracket.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (0, 1)")
-    if family.n_groups != data.n_groups:
-        raise ValueError("index family was built from different data")
-    delta = alpha / family.correction
-    n_groups = data.n_groups
-
-    rowmin_b = np.full(n_groups, np.inf)
-    colmax_b = np.full(n_groups, -np.inf)
-    for js, ks, z, m, rows, starts in _pair_chunks(data, family):
-        lower_lo, _, _, upper_hi = cp_brackets(z, m, delta)
-        rowmin_b[rows] = np.minimum.reduceat(upper_hi, starts)
-        np.maximum.at(colmax_b, ks, lower_lo)
-    reach_u = np.minimum.accumulate(rowmin_b[::-1])[::-1]
-    reach_l = np.maximum.accumulate(colmax_b)
-
-    rowmin_u = np.full(n_groups, np.inf)
-    colmax_l = np.full(n_groups, -np.inf)
-    uppers = _Survivors(delta, True, rowmin_u)
-    lowers = _Survivors(delta, False, colmax_l)
-    for js, ks, z, m, _, _ in _pair_chunks(data, family):
-        _, lower_hi, upper_lo, _ = cp_brackets(z, m, delta)
-        uppers.add(upper_lo <= reach_u[js], z, m, js)
-        lowers.add(lower_hi >= reach_l[ks], z, m, ks)
-    uppers.flush()
-    lowers.flush()
-
-    upper = np.minimum.accumulate(rowmin_u[::-1])[::-1]
+    delta = _delta(data, family, alpha)
+    L_lo, _, _, U_hi = _bracket_levels(data, family, delta)
+    upper, lower = _exact_levels(data, family, delta, U_hi, L_lo)
     upper = np.where(np.isfinite(upper), upper, 1.0)
-    lower = np.maximum.accumulate(colmax_l)
     lower = np.where(np.isfinite(lower), lower, 0.0)
     return StepBand(
         knots=data.distinct_x.copy(), lower_levels=lower, upper_levels=upper
     )
+
+
+def raw_band_crosses(data, family, alpha):
+    """Whether raw_band(data, family, alpha) has lower > upper at some knot.
+
+    The same answer as building the band and comparing its levels, from
+    fewer exact bounds. Upper levels are nondecreasing, so a crossing on
+    the open piece after a knot implies one at the knot; knots suffice.
+    The bracket levels decide most calls alone: L_lo > U_hi at a knot
+    proves a crossing, L_hi <= U_lo at every knot rules one out. Otherwise
+    a pair's upper side is bounded exactly only if the low end of its
+    upper bracket is <= min(U_hi, L_hi)[j], and its lower side only if the
+    high end of its lower bracket is >= max(L_lo, U_lo)[k]. If the band
+    crosses at x_i, the pair b attaining upper(x_i) passes: its bound is
+    upper(x_{j_b}) <= U_hi[j_b], and it lies below lower(x_i) <=
+    lower(x_{j_b}) <= L_hi[j_b]; the pair attaining lower(x_i) passes in
+    the mirror image, so the passing pairs' levels cross at x_i too. The
+    levels of a subset of pairs are never tighter than the band's, so
+    they cross only where the band crosses.
+    """
+    delta = _delta(data, family, alpha)
+    L_lo, L_hi, U_lo, U_hi = _bracket_levels(data, family, delta)
+    if (L_lo > U_hi).any():
+        return True
+    if (L_hi <= U_lo).all():
+        return False
+    upper, lower = _exact_levels(
+        data, family, delta, np.minimum(U_hi, L_hi), np.maximum(L_lo, U_lo)
+    )
+    return bool((lower > upper).any())
 
 
 def noncrossing_band(raw, fit):

@@ -415,13 +415,15 @@ def _cmd_band(args):
         "meta": meta,
     }
 
+    # json.dump writes chunk by chunk; dumps would hold the whole text
     if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
         if args.output == "-":
-            sys.stdout.write(text)
+            json.dump(doc, sys.stdout, indent=2)
+            sys.stdout.write("\n")
         else:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             for key, val in meta.items():
@@ -438,7 +440,8 @@ def _cmd_band(args):
             "meta": meta,
         }
         with open(sidecar, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(side_doc, indent=2) + "\n")
+            json.dump(side_doc, fh, indent=2)
+            fh.write("\n")
 
     if args.plot:
         lo_k, hi_k = float(band.knots[0]), float(band.knots[-1])

@@ -1,9 +1,11 @@
 """Calibration and isotonicity diagnostics derived from a band.
 
 The verdict machinery does exact interval arithmetic on the band's step
-pieces, so reported regions are not grid approximations. The isotonicity
-test inverts band construction over alpha; its p-value is the smallest
-level at which the lower bound overtakes the upper somewhere.
+pieces, held as arrays, so reported regions are not grid approximations.
+The isotonicity test inverts band construction over alpha; its p-value is
+the smallest level at which the lower bound overtakes the upper somewhere,
+found by bisection on bands.raw_band_crosses, which decides crossing
+without building the band.
 """
 
 import warnings
@@ -12,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import raw_band
+from .bands import raw_band, raw_band_crosses
 from .special import chi2_survival
 
 __all__ = [
@@ -62,53 +64,66 @@ class HosmerLemeshowResult(NamedTuple):
     p_value: float
 
 
-def _segments(band, lo, hi):
+def _pieces(band, lo, hi):
     """Decompose [lo, hi] into alternating point/open pieces with levels.
 
-    Yields (a, b, a_incl, b_incl, lower, upper); point pieces have a == b.
-    Assumes lo <= knots[0] and knots[-1] <= hi.
+    Returns arrays (a, b, a_incl, b_incl, lower, upper), one entry per
+    piece in left-to-right order; point pieces have a == b. Assumes
+    lo <= knots[0] and knots[-1] <= hi.
     """
     knots = band.knots
-    low = band.lower_levels
-    up = band.upper_levels
     n = knots.shape[0]
-    segs = []
-    if lo < knots[0]:
-        segs.append((lo, float(knots[0]), True, False, 0.0, float(up[0])))
-    for i in range(n):
-        xi = float(knots[i])
-        segs.append((xi, xi, True, True, float(low[i]), float(up[i])))
-        if i + 1 < n:
-            segs.append(
-                (xi, float(knots[i + 1]), False, False, float(low[i]), float(up[i + 1]))
-            )
-    if knots[-1] < hi:
-        segs.append((float(knots[-1]), hi, False, True, float(low[-1]), 1.0))
-    return segs
+    # gap 0, knot 0, gap 1, ..., knot n-1, gap n: gap 0 is [lo, knots[0])
+    # at lower level 0, gap n is (knots[-1], hi] at upper level 1, and the
+    # gap after knot i carries (lower[i], upper[i+1])
+    a = np.repeat(np.concatenate(([lo], knots)), 2)[1:]
+    b = np.repeat(np.concatenate((knots, [hi])), 2)[:-1]
+    lower = np.repeat(np.concatenate(([0.0], band.lower_levels)), 2)[1:]
+    upper = np.repeat(np.concatenate((band.upper_levels, [1.0])), 2)[:-1]
+    a_incl = np.zeros(2 * n + 1, dtype=bool)
+    a_incl[1::2] = True
+    b_incl = a_incl.copy()
+    a_incl[0] = True
+    b_incl[-1] = True
+    keep = np.ones(2 * n + 1, dtype=bool)
+    keep[0] = lo < knots[0]
+    keep[-1] = knots[-1] < hi
+    return a[keep], b[keep], a_incl[keep], b_incl[keep], lower[keep], upper[keep]
 
 
-def _merge_intervals(parts):
-    """Merge interval parts (lo, hi, lo_incl, hi_incl) into (lo, hi) tuples.
+def _merge(lo, hi, lo_incl, hi_incl):
+    """Merge interval parts, given as arrays, into a list of (lo, hi) tuples.
 
     Two parts join when they overlap or when they touch at a point that at
     least one of them contains; an uncovered single point keeps its
-    neighbors apart.
+    neighbors apart. After a stable sort by (lo, not lo_incl), a part
+    opens a new region when it starts right of the running maximum end,
+    or at it when neither that end nor the part's start is included. A
+    part that opens a region ends strictly right of every earlier part
+    (only included points are degenerate), so the running maximum over
+    all earlier parts is the current region's end, and its inclusion is
+    whether any part ending exactly there includes its end.
     """
-    if not parts:
+    if lo.shape[0] == 0:
         return []
-    parts = sorted(parts, key=lambda p: (p[0], not p[2]))
-    out = [list(parts[0])]
-    for lo, hi, li, hi_incl in parts[1:]:
-        cur = out[-1]
-        if lo < cur[1] or (lo == cur[1] and (cur[3] or li)):
-            if hi > cur[1]:
-                cur[1] = hi
-                cur[3] = hi_incl
-            elif hi == cur[1]:
-                cur[3] = cur[3] or hi_incl
-        else:
-            out.append([lo, hi, li, hi_incl])
-    return [(p[0], p[1]) for p in out]
+    order = np.lexsort((~lo_incl, lo))
+    lo, hi, lo_incl, hi_incl = lo[order], hi[order], lo_incl[order], hi_incl[order]
+    end = np.maximum.accumulate(hi)
+    idx = np.arange(hi.shape[0])
+    # index of the latest part that ends at the running maximum, included;
+    # it counts for the run of equal maxima it belongs to
+    run_start = np.maximum.accumulate(
+        np.where(np.concatenate(([True], end[1:] != end[:-1])), idx, 0)
+    )
+    last_incl = np.maximum.accumulate(np.where((hi == end) & hi_incl, idx, -1))
+    end_incl = last_incl >= run_start
+    opens = np.empty(hi.shape[0], dtype=bool)
+    opens[0] = True
+    opens[1:] = (lo[1:] > end[:-1]) | (
+        (lo[1:] == end[:-1]) & ~end_incl[:-1] & ~lo_incl[1:]
+    )
+    first = np.flatnonzero(opens)
+    return list(zip(lo[first].tolist(), np.maximum.reduceat(hi, first).tolist()))
 
 
 def calibration_verdict(band):
@@ -124,19 +139,18 @@ def calibration_verdict(band):
             "band domain exceeds [0, 1]; the diagonal verdict is undefined "
             "for general covariates"
         )
-    parts = []
-    for a, b, ai, bi, low, up in _segments(band, 0.0, 1.0):
-        if a == b:
-            if a < low or a > up:
-                parts.append((a, a, True, True))
-            continue
-        if low > a:
-            # diagonal below the band's lower level on [a, min(b, low))
-            parts.append((a, min(b, low), ai, bi and b < low))
-        if up < b:
-            # diagonal above the band's upper level on (max(a, up), b]
-            parts.append((max(a, up), b, ai and a > up, bi))
-    regions = _merge_intervals(parts)
+    a, b, ai, bi, low, up = _pieces(band, 0.0, 1.0)
+    point = a == b
+    # each piece gives up to two parts, in this order: the diagonal at a
+    # point outside [low, up], or below the lower level on [a, min(b, low));
+    # then the diagonal above the upper level on (max(a, up), b]
+    first = np.where(point, (a < low) | (a > up), low > a)
+    keep = np.stack((first, ~point & (up < b)), axis=1)
+    lo = np.stack((a, np.maximum(a, up)), axis=1)[keep]
+    hi = np.stack((np.where(point, a, np.minimum(b, low)), b), axis=1)[keep]
+    lo_incl = np.stack((ai, ai & (a > up)), axis=1)[keep]
+    hi_incl = np.stack((point | (bi & (b < low)), bi), axis=1)[keep]
+    regions = _merge(lo, hi, lo_incl, hi_incl)
 
     x = knots
     eps_arr = np.maximum(band.lower_levels - x, x - band.upper_levels)
@@ -162,14 +176,12 @@ def _band_crosses(band):
 
 def _crossing_regions(band):
     # _band_crosses tests exactly the pieces scanned below, so a band that
-    # never crosses skips building the segment list (about 2N tuples)
+    # never crosses skips building the piece arrays
     if not _band_crosses(band):
         return []
-    parts = []
-    for a, b, ai, bi, low, up in _segments(band, float(band.knots[0]), float(band.knots[-1])):
-        if low > up:
-            parts.append((a, b, ai, bi))
-    return _merge_intervals(parts)
+    a, b, ai, bi, low, up = _pieces(band, band.knots[0], band.knots[-1])
+    cross = low > up
+    return _merge(a[cross], b[cross], ai[cross], bi[cross])
 
 
 def _gamma_from_band(band):
@@ -185,19 +197,22 @@ def isotonicity_pvalue(data, family):
     """Smallest alpha at which the raw band crosses itself.
 
     Crossing is monotone in alpha (larger alpha shrinks every pair bound
-    toward the empirical rate), so bisection to 1e-4 with about 14 band
-    rebuilds locates the infimum. Returns 1.0 when even alpha just below
-    one produces no crossing.
+    toward the empirical rate), so bisection in alpha to 1e-4 locates the
+    infimum. Each probe asks raw_band_crosses, which decides most levels
+    from closed-form brackets and bounds exactly only the pairs that can
+    set a crossing level, instead of building the band. Returns 1.0 when
+    even alpha just below one produces no crossing, and 0.0 when the band
+    already crosses at 1e-8.
     """
     hi = _PVALUE_ALPHA_HI
-    if not _band_crosses(raw_band(data, family, hi)):
+    if not raw_band_crosses(data, family, hi):
         return 1.0
     lo = _PVALUE_ALPHA_LO
-    if _band_crosses(raw_band(data, family, lo)):
+    if raw_band_crosses(data, family, lo):
         return 0.0
     while hi - lo > _PVALUE_TOL:
         mid = 0.5 * (lo + hi)
-        if _band_crosses(raw_band(data, family, mid)):
+        if raw_band_crosses(data, family, mid):
             hi = mid
         else:
             lo = mid

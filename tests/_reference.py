@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from calband.bands import StepBand
+from calband.bands import StepBand, raw_band
+from calband.diagnostics import _band_crosses
 from calband.isotonic import build_sorted_data
 from calband.special import cp_bounds_batch
 
@@ -119,6 +120,104 @@ def naive_raw_band(data, family, alpha):
     return StepBand(
         knots=data.distinct_x.copy(), lower_levels=lower, upper_levels=upper
     )
+
+
+def isotonicity_pvalue_by_rebuilds(data, family):
+    """The p-value bisection that builds the whole raw band at every probe.
+
+    Same endpoints (1e-8, 1 - 1e-6), tolerance (1e-4) and midpoints as the
+    library, so the two must agree bit for bit.
+    """
+    hi = 1.0 - 1e-6
+    if not _band_crosses(raw_band(data, family, hi)):
+        return 1.0
+    lo = 1e-8
+    if _band_crosses(raw_band(data, family, lo)):
+        return 0.0
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        if _band_crosses(raw_band(data, family, mid)):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def segments(band, lo, hi):
+    """Decompose [lo, hi] into alternating point/open pieces with levels.
+
+    Returns a list of (a, b, a_incl, b_incl, lower, upper); point pieces
+    have a == b. Assumes lo <= knots[0] and knots[-1] <= hi.
+    """
+    knots = band.knots
+    low = band.lower_levels
+    up = band.upper_levels
+    n = knots.shape[0]
+    segs = []
+    if lo < knots[0]:
+        segs.append((lo, float(knots[0]), True, False, 0.0, float(up[0])))
+    for i in range(n):
+        xi = float(knots[i])
+        segs.append((xi, xi, True, True, float(low[i]), float(up[i])))
+        if i + 1 < n:
+            segs.append(
+                (xi, float(knots[i + 1]), False, False, float(low[i]), float(up[i + 1]))
+            )
+    if knots[-1] < hi:
+        segs.append((float(knots[-1]), hi, False, True, float(low[-1]), 1.0))
+    return segs
+
+
+def merge_intervals(parts):
+    """Merge interval parts (lo, hi, lo_incl, hi_incl) into (lo, hi) tuples.
+
+    Two parts join when they overlap or when they touch at a point that at
+    least one of them contains; an uncovered single point keeps its
+    neighbors apart.
+    """
+    if not parts:
+        return []
+    parts = sorted(parts, key=lambda p: (p[0], not p[2]))
+    out = [list(parts[0])]
+    for lo, hi, li, hi_incl in parts[1:]:
+        cur = out[-1]
+        if lo < cur[1] or (lo == cur[1] and (cur[3] or li)):
+            if hi > cur[1]:
+                cur[1] = hi
+                cur[3] = hi_incl
+            elif hi == cur[1]:
+                cur[3] = cur[3] or hi_incl
+        else:
+            out.append([lo, hi, li, hi_incl])
+    return [(p[0], p[1]) for p in out]
+
+
+def miscalibrated_regions_loop(band):
+    """Where the diagonal leaves a band on [0, 1], piece by piece."""
+    parts = []
+    for a, b, ai, bi, low, up in segments(band, 0.0, 1.0):
+        if a == b:
+            if a < low or a > up:
+                parts.append((a, a, True, True))
+            continue
+        if low > a:
+            # diagonal below the band's lower level on [a, min(b, low))
+            parts.append((a, min(b, low), ai, bi and b < low))
+        if up < b:
+            # diagonal above the band's upper level on (max(a, up), b]
+            parts.append((max(a, up), b, ai and a > up, bi))
+    return merge_intervals(parts)
+
+
+def crossing_regions_loop(band):
+    """Where a band's lower level exceeds its upper level, piece by piece."""
+    lo, hi = float(band.knots[0]), float(band.knots[-1])
+    parts = [
+        (a, b, ai, bi)
+        for a, b, ai, bi, low, up in segments(band, lo, hi)
+        if low > up
+    ]
+    return merge_intervals(parts)
 
 
 def naive_yb_band(data, fit, alpha):

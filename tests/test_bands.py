@@ -1,6 +1,7 @@
 """Tests for index-pair families, the confidence bands, and evaluation."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from calband.bands import (
     full_index_family,
     noncrossing_band,
     raw_band,
+    raw_band_crosses,
     rounded_index_family,
     yb_band,
 )
+from calband.diagnostics import _band_crosses, isotonicity_pvalue
 from calband.isotonic import IsotonicFit, build_sorted_data, pava
 from calband.special import _CHUNK_MIN, cp_lower
 
@@ -260,12 +263,89 @@ def test_raw_band_widens_as_alpha_shrinks():
 def test_raw_band_validates_inputs():
     d = _data([0.2, 0.4], [0, 1])
     fam = full_index_family(d)
-    for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            raw_band(d, fam, alpha=bad)
     other = _data([0.1, 0.2, 0.3], [0, 1, 1])
-    with pytest.raises(ValueError):
-        raw_band(other, fam, alpha=0.05)
+    for build in (raw_band, raw_band_crosses):
+        for bad in (0.0, 1.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="outside"):
+                build(d, fam, alpha=bad)
+        with pytest.raises(ValueError, match="different data"):
+            build(other, fam, alpha=0.05)
+
+
+# ---------------------------------------------------------------------------
+# crossing decision without the band
+
+
+def _crossing_file():
+    path = Path(__file__).resolve().parent / "data" / "crossing.csv"
+    return _data(*np.loadtxt(path, delimiter=",", skiprows=1, unpack=True))
+
+
+def _threshold(d, fam, p):
+    """Alphas 2.4e-8 apart on either side of where the band starts crossing.
+
+    The p-value's bisection ends within 5e-5 of the threshold; twelve more
+    steps on built bands close in to where the bracket levels cannot decide.
+    """
+    if not 1e-4 < p < 1.0 - 1e-4:
+        return []
+    lo, hi = p - 5e-5, p + 5e-5
+    for _ in range(12):
+        mid = 0.5 * (lo + hi)
+        if _band_crosses(raw_band(d, fam, mid)):
+            hi = mid
+        else:
+            lo = mid
+    return [lo, hi]
+
+
+def test_raw_band_crosses_matches_the_band(monkeypatch):
+    calls = _record_batches(monkeypatch)
+    rng = np.random.default_rng(137)
+    x = rng.integers(1, 6, size=300) / 6
+    cases = [
+        _tied_data(rng, 600, 4, 0.3),
+        _tied_data(rng, 400, 40, 0.9),
+        _data(x, rng.random(300) < 0.9 - 0.5 * x),
+        _data(np.linspace(0.01, 0.99, 300), np.zeros(300)),
+        _data(np.linspace(0.01, 0.99, 300), np.ones(300)),
+        _crossing_file(),
+    ]
+    # truths mid + amp * sin(3 pi x) cross at middling alphas; near 0 or 1
+    # Hoeffding's end of the brackets is far looser than the other
+    for n, mid, amp in ((80, 0.5, 0.45), (200, 0.5, 0.3), (500, 0.5, 0.2),
+                        (400, 0.9, 0.08), (600, 0.1, 0.09)):
+        x = rng.random(n)
+        cases.append(_data(x, rng.random(n) < mid + amp * np.sin(3 * np.pi * x)))
+    cases += [random_sorted_data(rng, int(rng.integers(5, 200))) for _ in range(6)]
+    outcomes = set()
+    for d in cases:
+        families = [full_index_family(d), rounded_index_family(d, K=20)]
+        # K=1 on covariates inside (0, 1) leaves the single window [0, 1]:
+        # one pair, so delta = alpha, above 1/2 at the last alpha
+        families.append(rounded_index_family(d, K=1))
+        for fam in families:
+            near = _threshold(d, fam, isotonicity_pvalue(d, fam))
+            for alpha in [1e-8, 3e-5, 0.05, 0.5, 1.0 - 1e-6] + near:
+                want = _band_crosses(raw_band(d, fam, alpha))
+                del calls[:]
+                got = raw_band_crosses(d, fam, alpha)
+                assert got is want, (fam.kind, fam.K, alpha)
+                outcomes.add((want, bool(calls)))
+    assert rounded_index_family(cases[0], K=1).pair_count == 1
+    # both answers, each from the brackets alone and from exact bounds
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_raw_band_crosses_needs_no_exact_bound_for_a_clear_crossing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact bound asked for")
+
+    x = [0.25] * 200 + [0.75] * 200
+    d = _data(x, [1] * 200 + [0] * 200)
+    monkeypatch.setattr(bands_module, "cp_bounds_batch", refuse)
+    for fam in (full_index_family(d), rounded_index_family(d, K=100)):
+        assert raw_band_crosses(d, fam, 0.05) is True
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,25 @@
 """Tests for the calibration verdict, isotonicity test, and binned chi-square."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
 
 import calband.diagnostics
-from _reference import random_sorted_data
-from calband.bands import StepBand, evaluate_band, full_index_family, raw_band
+from _reference import (
+    crossing_regions_loop,
+    isotonicity_pvalue_by_rebuilds,
+    miscalibrated_regions_loop,
+    random_sorted_data,
+)
+from calband.bands import (
+    StepBand,
+    evaluate_band,
+    full_index_family,
+    raw_band,
+    rounded_index_family,
+)
 from calband.diagnostics import (
     calibration_verdict,
     gamma_lower_bound,
@@ -105,6 +118,33 @@ def test_verdict_agrees_with_dense_grid_scan():
     assert checked > 0  # the sweep exercised actual rejections
 
 
+def test_regions_match_the_piece_loops_on_coarse_grids():
+    # levels and knots on a coarse grid tie with each other and with the
+    # diagonal, which exercises every touching and inclusion rule
+    rng = np.random.default_rng(139)
+    regions = crossings = 0
+    for _ in range(2000):
+        grid = int(rng.choice([4, 5, 8, 10]))
+        knots = np.unique(rng.integers(0, grid + 1, size=int(rng.integers(1, 12))) / grid)
+        n = knots.shape[0]
+        lower = np.sort(rng.integers(0, grid + 1, size=n) / grid)
+        upper = np.sort(rng.integers(0, grid + 1, size=n) / grid)
+        if rng.random() < 0.4:
+            upper = np.maximum(upper, lower)
+        elif rng.random() < 0.3:
+            upper = lower.copy()
+        band = _band(knots, lower, upper)
+        want = miscalibrated_regions_loop(band)
+        got = calibration_verdict(band).miscalibrated_regions
+        assert got == want
+        assert all(type(v) is float for r in got for v in r)
+        want = crossing_regions_loop(band)
+        assert calband.diagnostics._crossing_regions(band) == want
+        regions += len(got)
+        crossings += len(want)
+    assert regions > 1000 and crossings > 300
+
+
 # ---------------------------------------------------------------------------
 # isotonicity test
 
@@ -128,6 +168,25 @@ def test_pvalue_matches_closed_form_threshold():
     assert p == pytest.approx(6.0 * 2.0**-12, abs=1e-4)
     assert gamma_lower_bound(d, fam, p + 5e-4) > 0.0
     assert gamma_lower_bound(d, fam, max(p - 5e-4, 1e-6)) == 0.0
+
+
+def test_pvalue_matches_bisection_by_band_rebuilds():
+    path = Path(__file__).resolve().parent / "data" / "crossing.csv"
+    datasets = [
+        _data(*np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)),
+        _two_block_data(12),
+        _two_block_data(200),
+        _data(np.linspace(0.1, 0.9, 6), [0, 0, 0, 1, 1, 1]),
+    ]
+    rng = np.random.default_rng(149)
+    datasets += [random_sorted_data(rng, int(rng.integers(5, 80))) for _ in range(6)]
+    pvalues = set()
+    for d in datasets:
+        for fam in (full_index_family(d), rounded_index_family(d, 20)):
+            p = isotonicity_pvalue(d, fam)
+            assert p == isotonicity_pvalue_by_rebuilds(d, fam)
+            pvalues.add(0.0 if p == 0.0 else 1.0 if p == 1.0 else 0.5)
+    assert pvalues == {0.0, 0.5, 1.0}
 
 
 def test_gamma_closed_form_two_blocks():
@@ -174,10 +233,10 @@ def test_report_clean_data_has_empty_regions():
 
 
 def test_non_crossing_band_skips_the_segment_list(monkeypatch):
-    def no_segments(*args):
-        raise AssertionError("segments built for a band that does not cross")
+    def no_pieces(*args):
+        raise AssertionError("pieces built for a band that does not cross")
 
-    monkeypatch.setattr(calband.diagnostics, "_segments", no_segments)
+    monkeypatch.setattr(calband.diagnostics, "_pieces", no_pieces)
     d = _data(np.linspace(0.1, 0.9, 8), [0, 0, 0, 0, 1, 1, 1, 1])
     fam = full_index_family(d)
     assert isotonicity_report(d, fam, raw_band(d, fam, 0.05), 0.05).crossing_regions == []
