@@ -41,18 +41,10 @@ from .simulation import (
     write_records_csv,
     write_summary_json,
 )
-from .special import (
-    BinomialCount,
-    binom_cdf,
-    cp_bounds_batch,
-    cp_lower,
-    cp_upper,
-)
+from .special import cp_bounds_batch, cp_lower, cp_upper
 
 __all__ = [
     "__version__",
-    "BinomialCount",
-    "binom_cdf",
     "cp_lower",
     "cp_upper",
     "cp_bounds_batch",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _CHUNK_MIN, cp_bounds_batch, cp_brackets
+from .special import cp_bounds_batch, cp_brackets
 
 __all__ = [
     "IndexPairFamily",
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _PAIR_CHUNK = 1 << 14
+_CHUNK_MIN = 200_000
 _YB_CHUNK = 1 << 22
 
 
@@ -50,9 +51,9 @@ class IndexPairFamily:
     Pairs are stored row-compressed: for the r-th admissible start index
     row_j[r], the admissible end indices are k_values[row_first_k[r]:].
     Both families have this suffix structure, which is what the sweep in
-    raw_band exploits. `pairs` materializes the flat arrays on demand;
-    construction itself never does, so the full family stays cheap to
-    describe even when N^2 pairs would not fit in memory.
+    raw_band exploits. raw_band walks the pairs in chunks of whole rows
+    and nothing materializes the flat pair arrays, so the full family
+    stays cheap to describe even when N^2 pairs would not fit in memory.
 
     correction is the divisor applied to alpha: N^2+N for the full family
     (two bounds per pair), |pairs| for the rounded family.
@@ -69,18 +70,6 @@ class IndexPairFamily:
     @property
     def pair_count(self):
         return int((self.k_values.shape[0] - self.row_first_k).sum())
-
-    @property
-    def pairs(self):
-        """Flat (j_indices, k_indices) arrays, row-major by j then k."""
-        sizes = self.k_values.shape[0] - self.row_first_k
-        js = np.repeat(self.row_j, sizes)
-        if self.row_j.shape[0] == 0:
-            return js, np.empty(0, dtype=np.int64)
-        ks = np.concatenate(
-            [self.k_values[f:] for f in self.row_first_k.tolist()]
-        )
-        return js, ks
 
 
 def full_index_family(data):
@@ -189,8 +178,9 @@ def _pair_chunks(data, family):
 class _Survivors:
     """Pairs kept for one side, bounded exactly in batches of _CHUNK_MIN.
 
-    Batching across chunks keeps cp_bounds_batch calls large enough for
-    its thread path although each chunk keeps only a fraction of its pairs.
+    Each chunk keeps only a fraction of its pairs, so batching across
+    chunks keeps cp_bounds_batch calls few, which bounds the per-call
+    overhead, while _CHUNK_MIN bounds the memory a batch holds.
     """
 
     def __init__(self, delta, upper, out):

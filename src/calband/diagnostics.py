@@ -61,7 +61,7 @@ class IsotonicityReport:
 
 class HosmerLemeshowResult(NamedTuple):
     statistic: float
-    p_value: float
+    p_value: float | None
 
 
 def _pieces(band, lo, hi):
@@ -253,7 +253,8 @@ def hosmer_lemeshow(data, g=10):
     Predictions are split into g equal-count bins (deciles of risk for
     g=10); a tie run straddling a cut is kept whole in the lower bin.
     The statistic sums (O-E)^2 / (E (1 - E/n_g)) over bins and is
-    referred to chi-square with (#bins - 2) degrees of freedom.
+    referred to chi-square with (#bins - 2) degrees of freedom. Two bins
+    leave none, and p_value is then None.
     """
     n = data.n
     if g < 2:
@@ -289,6 +290,7 @@ def hosmer_lemeshow(data, g=10):
                 f"E={exp} for size {n_g}; the chi-square variance vanishes"
             )
         stat += (obs - exp) ** 2 / (exp * (1.0 - exp / n_g))
+    df = len(bins) - 2
     return HosmerLemeshowResult(
-        statistic=stat, p_value=chi2_survival(stat, len(bins) - 2)
+        statistic=stat, p_value=chi2_survival(stat, df) if df else None
     )

@@ -9,14 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import BinomialCount
-
 __all__ = [
     "SortedBinaryData",
     "IsotonicFit",
     "build_sorted_data",
     "pava",
-    "constancy_endpoints",
 ]
 
 
@@ -61,23 +58,8 @@ class SortedBinaryData:
         return np.append(self.group_starts, self.n)
 
     @property
-    def tie_groups(self):
-        """Half-open (start, end) index ranges, one per distinct covariate."""
-        b = self.group_bounds
-        return list(zip(b[:-1].tolist(), b[1:].tolist()))
-
-    @property
     def group_sizes(self):
         return np.diff(self.group_bounds)
-
-    def group_count(self, g, h):
-        """Successes and trials over tie groups g..h inclusive."""
-        if not 0 <= g <= h < self.n_groups:
-            raise ValueError(f"group range ({g}, {h}) invalid for N={self.n_groups}")
-        b = self.group_bounds
-        z = int(self.prefix_sums[b[h + 1]] - self.prefix_sums[b[g]])
-        m = int(b[h + 1] - b[g])
-        return BinomialCount(z, m)
 
 
 def build_sorted_data(pairs):
@@ -166,13 +148,3 @@ def pava(data):
     return IsotonicFit(
         block_starts=starts, block_ends=ends, levels=levels, n_groups=n_groups
     )
-
-
-def constancy_endpoints(fit):
-    """Left starts and right ends of the fit's constancy regions.
-
-    right_ends are the group indices k where the fitted value steps up
-    after k (or k is the last group); left_starts mirror that on the left.
-    These are exactly the candidate indices the fast band path needs.
-    """
-    return fit.block_starts.copy(), fit.block_ends.copy()

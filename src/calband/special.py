@@ -1,33 +1,29 @@
-"""Exact binomial and beta special functions plus Clopper-Pearson bounds.
+"""Clopper-Pearson bounds for binomial proportions, and the chi-square tail.
 
-Scalar routines are written against the math module only and hold their
-stated absolute tolerances on the ranges the bands need (a, b up to a few
-thousand). The batch evaluator at the bottom is the performance path for
-band construction and is backed by scipy's compiled incomplete-beta
-inverse; a test pins it to the scalar route.
+cp_bounds_batch is the one Clopper-Pearson route. It evaluates both
+bounds over integer arrays through scipy's compiled incomplete-beta
+inverse; the scalar cp_lower and cp_upper call it for one side, so the
+two APIs agree bit for bit.
 
-cp_brackets puts each batch bound inside a closed-form bracket
-(Hoeffding on one side, the binary method-of-types bound on the other),
-which lets band construction skip the pairs that cannot set a band level.
+cp_brackets puts each bound inside a closed-form bracket (Hoeffding on
+one side, the binary method-of-types bound on the other), which lets band
+construction skip the pairs that cannot set a band level.
 cp_bounds_batch guards the inverse with the same brackets: a bound that
 comes back outside its bracket, NaN included, is solved again by
 bisection on the incomplete beta function, so every returned bound lies
 inside its bracket.
+
+chi2_survival, the tail the Hosmer-Lemeshow baseline is referred to, is
+written against the math module only, so the p-values calband prints do
+not depend on the scipy build.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sps
 
 __all__ = [
-    "BinomialCount",
-    "reg_inc_beta",
-    "beta_quantile",
-    "binom_cdf",
     "cp_upper",
     "cp_lower",
     "cp_bounds_batch",
@@ -46,197 +42,11 @@ _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 _CF_MAXITER = 500
 
-_BISECT_TOL = 1e-12
-
-#: Trial count above which binom_cdf switches from direct summation to the
-#: incomplete-beta identity.
-_CDF_SUM_LIMIT = 50
-
-THREADS_ENV = "CALBAND_THREADS"
-_CHUNK_MIN = 200_000
-
 #: Absolute widening of every cp_brackets end. The closed forms round at
 #: about 1e-16 and betaincinv is good to about 1e-14 relative on values in
 #: [0, 1], so the widened brackets contain the computed bounds, not only
 #: the exact ones.
 _BRACKET_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class BinomialCount:
-    """Successes z out of m trials, as produced by data slices."""
-
-    z: int
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"need at least one trial, got m={self.m}")
-        if not 0 <= self.z <= self.m:
-            raise ValueError(f"count z={self.z} outside [0, {self.m}]")
-
-
-def _betacf(a, b, x):
-    # Continued fraction for the incomplete beta function, modified Lentz
-    # recurrence. Converges fast for x < (a+1)/(a+b+2); callers swap first.
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAXITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction failed to converge for "
-        f"a={a}, b={b}, x={x}"
-    )
-
-
-def _inc_beta_direct(a, b, x):
-    # exp(lgamma cancellation) * x^a * (1-x)^b * cf / a
-    lpre = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    return math.exp(lpre) * _betacf(a, b, x) / a
-
-
-def reg_inc_beta(a, b, x):
-    """Regularized incomplete beta function I_x(a, b).
-
-    Continued-fraction evaluation with the symmetry swap
-    I_x(a,b) = 1 - I_{1-x}(b,a), absolute error below 1e-13.
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - _inc_beta_direct(b, a, 1.0 - x)
-    return _inc_beta_direct(a, b, x)
-
-
-def beta_quantile(p, a, b):
-    """Inverse of reg_inc_beta in x, by bracketed bisection to 1e-12.
-
-    Bisection rather than Newton: the CDF is monotone, so the bracket can
-    never escape and no derivative safeguards are needed.
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if p < 0.0 or p > 1.0:
-        raise ValueError(f"probability p={p} outside [0, 1]")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    lo = 0.0
-    hi = 1.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if reg_inc_beta(a, b, mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def binom_cdf(z, m, xi):
-    """P(Binomial(m, xi) <= z).
-
-    Direct summation for m <= 50 keeps small cases exact; larger m routes
-    through the identity pbin(z, m, xi) = I_{1-xi}(m-z, z+1) to avoid
-    cancellation across many terms.
-    """
-    if m < 1:
-        raise ValueError(f"need at least one trial, got m={m}")
-    if z < -1 or z > m:
-        raise ValueError(f"count z={z} outside [-1, {m}]")
-    if xi < 0.0 or xi > 1.0:
-        raise ValueError(f"success probability xi={xi} outside [0, 1]")
-    if z == -1:
-        return 0.0
-    if z == m:
-        return 1.0
-    if xi == 0.0:
-        return 1.0
-    if xi == 1.0:
-        return 0.0
-    if m <= _CDF_SUM_LIMIT:
-        q = 1.0 - xi
-        total = 0.0
-        for i in range(z + 1):
-            total += math.comb(m, i) * xi**i * q ** (m - i)
-        return min(total, 1.0)
-    return reg_inc_beta(m - z, z + 1, 1.0 - xi)
-
-
-def _check_count_args(z, m, delta):
-    if m < 1:
-        raise ValueError(f"need at least one trial, got m={m}")
-    if not 0 <= z <= m:
-        raise ValueError(f"count z={z} outside [0, {m}]")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"tail probability delta={delta} outside (0, 1)")
-    if delta < DELTA_FLOOR:
-        raise ValueError(
-            f"delta={delta} underflows the supported range (>= {DELTA_FLOOR}); "
-            "the Bonferroni correction is too aggressive for float64"
-        )
-
-
-def cp_upper(z, m, delta):
-    """Exact upper confidence bound for a binomial proportion.
-
-    The largest xi whose CDF at z still reaches delta; equals the beta
-    quantile qbeta(1-delta, z+1, m-z) for z < m and 1 at z = m. Evaluated
-    through the lower tail of the swapped beta law, which is the same root
-    but keeps 1-delta representable for extreme corrections.
-    """
-    _check_count_args(z, m, delta)
-    if z == m:
-        return 1.0
-    return 1.0 - beta_quantile(delta, m - z, z + 1)
-
-
-def cp_lower(z, m, delta):
-    """Exact lower confidence bound, qbeta(delta, z, m+1-z), 0 at z = 0."""
-    _check_count_args(z, m, delta)
-    if z == 0:
-        return 0.0
-    return beta_quantile(delta, z, m - z + 1)
 
 
 # --------------------------------------------------------------------------
@@ -291,56 +101,16 @@ def reg_inc_gamma_upper(s, x):
 
 
 def chi2_survival(stat, df):
-    """Chi-square upper tail probability with df degrees of freedom.
-
-    df = 0 is the point mass at zero (survival is 1 at the origin and 0
-    anywhere above it).
-    """
-    if df < 0:
-        raise ValueError(f"degrees of freedom df={df} must be nonnegative")
+    """Chi-square upper tail probability with df >= 1 degrees of freedom."""
+    if df < 1:
+        raise ValueError(f"degrees of freedom df={df} must be at least 1")
     if stat < 0.0:
         raise ValueError(f"statistic {stat} must be nonnegative")
-    if df == 0:
-        return 1.0 if stat == 0.0 else 0.0
     return reg_inc_gamma_upper(0.5 * df, 0.5 * stat)
 
 
 # --------------------------------------------------------------------------
 # Batch Clopper-Pearson evaluation, the hot path of band construction.
-
-def thread_count():
-    """Worker threads for batch evaluation, from the environment override."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        t = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV}={raw!r} is not an integer") from exc
-    if t < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {t}")
-    return t
-
-
-def _chunked_betaincinv(a, b, p):
-    # betaincinv(a, b, p), optionally split across threads. Each worker
-    # writes a disjoint slice of the preallocated result, so the answer is
-    # independent of scheduling.
-    t = thread_count()
-    size = a.shape[0]
-    if t == 1 or size < _CHUNK_MIN:
-        return _sps.betaincinv(a, b, p)
-    out = np.empty(size, dtype=np.float64)
-    bounds = np.linspace(0, size, t + 1, dtype=np.int64)
-
-    def work(i):
-        lo, hi = bounds[i], bounds[i + 1]
-        out[lo:hi] = _sps.betaincinv(a[lo:hi], b[lo:hi], p)
-
-    with ThreadPoolExecutor(max_workers=t) as pool:
-        list(pool.map(work, range(t)))
-    return out
-
 
 def cp_brackets(z, m, delta):
     """Closed-form brackets around cp_lower and cp_upper, elementwise.
@@ -404,8 +174,11 @@ def _bisect_betainc(a, b, p, lo, hi):
 def cp_bounds_batch(z, m, delta, lower_where=True, upper_where=True):
     """Vectorized (cp_lower, cp_upper) over integer arrays z and m.
 
-    Same dual-tail formulas as the scalar functions, evaluated through
-    scipy's compiled inverse incomplete beta. Returns two float64 arrays.
+    The lower bound is qbeta(delta, z, m-z+1), 0 at z = 0; the upper bound
+    is 1 - qbeta(delta, m-z, z+1), 1 at z = m, the lower tail of the
+    swapped beta law, which keeps 1-delta out of the computation for
+    extreme corrections. Both go through scipy's compiled inverse
+    incomplete beta. Returns two float64 arrays.
 
     lower_where and upper_where select, like numpy's where=, which entries
     of each side to evaluate: a bool or a bool array broadcastable to z.
@@ -444,7 +217,7 @@ def cp_bounds_batch(z, m, delta, lower_where=True, upper_where=True):
         top = zs == ms
         # Dummy shape 1.0 where z == m keeps betaincinv in-domain; overwritten.
         a, b = np.where(top, 1.0, ms - zs), zs + 1.0
-        up = 1.0 - _chunked_betaincinv(a, b, delta)
+        up = 1.0 - _sps.betaincinv(a, b, delta)
         bad = ~top & ~((up >= lo) & (up <= hi))
         if bad.any():
             w = _bisect_betainc(a[bad], b[bad], delta, 1.0 - hi[bad], 1.0 - lo[bad])
@@ -459,7 +232,7 @@ def cp_bounds_batch(z, m, delta, lower_where=True, upper_where=True):
         lo, hi = lower_lo[sel_lo], lower_hi[sel_lo]
         zero = zs == 0.0
         a, b = np.where(zero, 1.0, zs), ms - zs + 1.0
-        low = _chunked_betaincinv(a, b, delta)
+        low = _sps.betaincinv(a, b, delta)
         bad = ~zero & ~((low >= lo) & (low <= hi))
         if bad.any():
             w = _bisect_betainc(a[bad], b[bad], delta, lo[bad], hi[bad])
@@ -468,3 +241,18 @@ def cp_bounds_batch(z, m, delta, lower_where=True, upper_where=True):
         lower[sel_lo] = low
 
     return lower, upper
+
+
+def cp_upper(z, m, delta):
+    """Exact upper confidence bound for a binomial proportion.
+
+    The largest xi whose CDF at z still reaches delta; equals the beta
+    quantile qbeta(1-delta, z+1, m-z) for z < m and 1 at z = m. This is
+    cp_bounds_batch on one count, upper side only.
+    """
+    return float(cp_bounds_batch([z], [m], delta, lower_where=False)[1][0])
+
+
+def cp_lower(z, m, delta):
+    """Exact lower confidence bound, qbeta(delta, z, m+1-z), 0 at z = 0."""
+    return float(cp_bounds_batch([z], [m], delta, upper_where=False)[0][0])

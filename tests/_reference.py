@@ -98,12 +98,20 @@ def pava_exhaustive(data):
     return best_levels
 
 
+def family_pairs(family):
+    """Flat (j_indices, k_indices) arrays of a family, row-major by j then k."""
+    sizes = family.k_values.shape[0] - family.row_first_k
+    js = np.repeat(family.row_j, sizes)
+    ks = [family.k_values[f:] for f in family.row_first_k.tolist()]
+    return js, np.concatenate(ks) if ks else np.empty(0, dtype=np.int64)
+
+
 def naive_raw_band(data, family, alpha):
     """Per-knot double loop over the materialized pair list."""
     delta = alpha / family.correction
     b = data.group_bounds
     ps = data.prefix_sums[b]
-    js, ks = family.pairs
+    js, ks = family_pairs(family)
     m = b[ks + 1] - b[js]
     z = ps[ks + 1] - ps[js]
     lo, up = cp_bounds_batch(z, m, delta)

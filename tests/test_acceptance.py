@@ -80,8 +80,8 @@ def test_criterion_01_exact_binomial_bounds_match_cdf_inversion():
 def test_criterion_02_hoeffding_envelope_contains_exact_bounds():
     """Exact bounds sit inside z/m +- sqrt(log(1/delta)/(2m)), no slack.
 
-    Checks the batch path (the one band construction uses); criterion 1
-    already ties the scalar path to the independent oracle.
+    Checks the batch path band construction uses; criterion 1 ties the
+    same route, through the scalar API, to the independent oracle.
     """
     violations = 0
     slack = np.inf

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _reference import (
+    family_pairs,
     naive_raw_band,
     naive_yb_band,
     random_sorted_data,
@@ -25,7 +26,7 @@ from calband.bands import (
 )
 from calband.diagnostics import _band_crosses, isotonicity_pvalue
 from calband.isotonic import IsotonicFit, build_sorted_data, pava
-from calband.special import _CHUNK_MIN, cp_lower
+from calband.special import cp_lower
 
 
 def _data(x, y):
@@ -33,7 +34,7 @@ def _data(x, y):
 
 
 def _pair_set(family):
-    js, ks = family.pairs
+    js, ks = family_pairs(family)
     return set(zip(js.tolist(), ks.tolist()))
 
 
@@ -188,7 +189,7 @@ def test_raw_band_pruning_matches_naive_beyond_criterion_4():
     fallback = 0
     for d in cases:
         for fam in (full_index_family(d), rounded_index_family(d, K=50)):
-            js, ks = fam.pairs
+            js, ks = family_pairs(fam)
             m = d.group_bounds[ks + 1] - d.group_bounds[js]
             for alpha in (1e-8, 0.05, 1.0 - 1e-6):
                 fallback += bool((m + 1 >= fam.correction / alpha).any())
@@ -227,18 +228,18 @@ def test_raw_band_bounds_only_pairs_that_can_set_a_level(monkeypatch):
 
 
 def test_raw_band_thread_count_does_not_change_levels(monkeypatch):
+    # survivors of many chunks reach betaincinv in batches of _CHUNK_MIN,
+    # and the batch size does not change the levels
     calls = _record_batches(monkeypatch)
     rng = np.random.default_rng(103)
     d = _data(rng.random(1500), rng.random(1500) < 0.3)
     fam = full_index_family(d)
-    monkeypatch.delenv("CALBAND_THREADS", raising=False)
-    one = raw_band(d, fam, alpha=0.05)
-    # survivors still reach betaincinv in batches big enough for threads
-    assert max(n for n, _ in calls) >= _CHUNK_MIN
-    monkeypatch.setenv("CALBAND_THREADS", "2")
-    two = raw_band(d, fam, alpha=0.05)
-    np.testing.assert_array_equal(one.lower_levels, two.lower_levels)
-    np.testing.assert_array_equal(one.upper_levels, two.upper_levels)
+    batched = raw_band(d, fam, alpha=0.05)
+    assert max(n for n, _ in calls) >= bands_module._CHUNK_MIN
+    monkeypatch.setattr(bands_module, "_CHUNK_MIN", 1)
+    per_chunk = raw_band(d, fam, alpha=0.05)
+    np.testing.assert_array_equal(batched.lower_levels, per_chunk.lower_levels)
+    np.testing.assert_array_equal(batched.upper_levels, per_chunk.upper_levels)
 
 
 def test_raw_band_levels_are_nondecreasing():

@@ -324,6 +324,10 @@ def test_band_crossing_data_warns_and_reports(capsys):
     lo = np.array(doc["band"]["lower"])
     up = np.array(doc["band"]["upper"])
     assert (lo > up).any()
+    # ties leave 2 Hosmer-Lemeshow bins, hence 0 degrees of freedom
+    assert "reduced 10 requested bins to 2" in err
+    assert doc["hosmer_lemeshow"]["p_value"] is None
+    assert '"p_value": null' in out
 
 
 # ---------------------------------------------------------------------------

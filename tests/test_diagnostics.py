@@ -285,6 +285,8 @@ def test_hosmer_lemeshow_pushes_ties_into_lower_bin():
     res = hosmer_lemeshow(_data(x, y), g=2)
     # the tie run at 0.2 stays whole, so bins are 4 + 2 observations
     assert res.statistic == pytest.approx(0.0625 + 0.5, abs=1e-12)
+    # two bins leave 0 degrees of freedom
+    assert res.p_value is None
 
 
 def test_hosmer_lemeshow_warns_when_bins_collapse():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _reference import pava_exhaustive, random_sorted_data
-from calband.isotonic import build_sorted_data, constancy_endpoints, pava
+from calband.isotonic import build_sorted_data, pava
 
 
 def _data(x, y):
@@ -23,7 +23,7 @@ def test_build_sorts_and_groups_ties():
     np.testing.assert_array_equal(d.distinct_x, [0.1, 0.2])
     np.testing.assert_array_equal(d.group_starts, [0, 1])
     np.testing.assert_array_equal(d.prefix_sums, [0, 0, 1, 1])
-    assert d.tie_groups == [(0, 1), (1, 3)]
+    np.testing.assert_array_equal(d.group_bounds, [0, 1, 3])
     np.testing.assert_array_equal(d.group_sizes, [1, 2])
 
 
@@ -32,8 +32,7 @@ def test_build_single_observation():
     assert d.n == 1
     assert d.n_groups == 1
     np.testing.assert_array_equal(d.prefix_sums, [0, 1])
-    bc = d.group_count(0, 0)
-    assert (bc.z, bc.m) == (1, 1)
+    np.testing.assert_array_equal(d.group_bounds, [0, 1])
 
 
 def test_build_prefix_sums_match_direct_sums():
@@ -47,14 +46,12 @@ def test_build_prefix_sums_match_direct_sums():
 
 
 def test_group_count_aggregates_inclusive_range():
+    # successes and trials over tie groups g..h, as the bands slice them
     d = _data([0.1, 0.1, 0.2, 0.3, 0.3, 0.3], [1, 0, 1, 0, 1, 1])
+    b = d.group_bounds
     for (g, h), want in {(0, 0): (1, 2), (1, 2): (3, 4), (0, 2): (4, 6)}.items():
-        bc = d.group_count(g, h)
-        assert (bc.z, bc.m) == want
-    with pytest.raises(ValueError):
-        d.group_count(2, 1)
-    with pytest.raises(ValueError):
-        d.group_count(0, 3)
+        z = d.prefix_sums[b[h + 1]] - d.prefix_sums[b[g]]
+        assert (z, b[h + 1] - b[g]) == want
 
 
 def test_build_rejects_empty_input():
@@ -85,12 +82,11 @@ def test_tie_groups_partition_observations():
     rng = np.random.default_rng(23)
     for _ in range(20):
         d = random_sorted_data(rng, int(rng.integers(1, 60)))
-        spans = d.tie_groups
-        assert spans[0][0] == 0 and spans[-1][1] == d.n
-        for (a, b), (c, _) in zip(spans, spans[1:]):
-            assert b == c
-        for a, b in spans:
-            assert (d.x[a:b] == d.x[a]).all()
+        b = d.group_bounds
+        assert b[0] == 0 and b[-1] == d.n
+        assert (np.diff(b) > 0).all()
+        for lo, hi in zip(b[:-1], b[1:]):
+            assert (d.x[lo:hi] == d.x[lo]).all()
         assert (np.diff(d.distinct_x) > 0).all()
 
 
@@ -198,23 +194,21 @@ def test_pava_few_distinct_levels_on_bernoulli_data():
 
 
 # ---------------------------------------------------------------------------
-# constancy_endpoints
+# constancy regions (block_starts, block_ends)
 
 
 def test_constancy_endpoints_single_block():
     fit = pava(_data([0.1, 0.2, 0.3, 0.4, 0.5], [1, 0, 1, 0, 0]))
     assert fit.n_blocks == 1
-    starts, ends = constancy_endpoints(fit)
-    np.testing.assert_array_equal(starts, [0])
-    np.testing.assert_array_equal(ends, [4])
+    np.testing.assert_array_equal(fit.block_starts, [0])
+    np.testing.assert_array_equal(fit.block_ends, [4])
 
 
 def test_constancy_endpoints_strictly_increasing_fit():
     fit = pava(_data([0.1, 0.2, 0.3], [0, 1, 1]))
-    starts, ends = constancy_endpoints(fit)
     # groups 0 | 1,2 form the two blocks
-    np.testing.assert_array_equal(starts, [0, 1])
-    np.testing.assert_array_equal(ends, [0, 2])
+    np.testing.assert_array_equal(fit.block_starts, [0, 1])
+    np.testing.assert_array_equal(fit.block_ends, [0, 2])
 
 
 def test_constancy_endpoints_cover_every_group_once():
@@ -222,10 +216,7 @@ def test_constancy_endpoints_cover_every_group_once():
     for _ in range(25):
         d = random_sorted_data(rng, int(rng.integers(1, 120)))
         fit = pava(d)
-        starts, ends = constancy_endpoints(fit)
         covered = np.concatenate(
-            [np.arange(a, b + 1) for a, b in zip(starts, ends)]
+            [np.arange(a, b + 1) for a, b in zip(fit.block_starts, fit.block_ends)]
         )
         np.testing.assert_array_equal(covered, np.arange(d.n_groups))
-        starts[0] = -99  # returned arrays are copies
-        assert fit.block_starts[0] == 0

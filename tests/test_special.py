@@ -15,184 +15,183 @@ from _reference import (
 )
 from calband.special import (
     DELTA_FLOOR,
-    BinomialCount,
-    beta_quantile,
-    binom_cdf,
     chi2_survival,
     cp_bounds_batch,
     cp_brackets,
     cp_lower,
     cp_upper,
-    reg_inc_beta,
     reg_inc_gamma_upper,
 )
 
 
-def test_binomial_count_validation():
-    bc = BinomialCount(z=2, m=3)
-    assert (bc.z, bc.m) == (2, 3)
-    with pytest.raises(ValueError):
-        BinomialCount(z=4, m=3)
-    with pytest.raises(ValueError):
-        BinomialCount(z=-1, m=3)
-    with pytest.raises(ValueError):
-        BinomialCount(z=0, m=0)
-
-
 def test_reg_inc_beta_uniform_is_identity():
-    for x in np.linspace(0.0, 1.0, 21):
-        assert abs(reg_inc_beta(1.0, 1.0, x) - x) <= 1e-13
+    # I_x(1, 1) = x, so the one-trial bounds are delta and 1 - delta
+    for delta in np.linspace(0.0, 1.0, 21)[1:-1]:
+        assert abs(cp_lower(1, 1, delta) - delta) <= 1e-13
+        assert abs(cp_upper(0, 1, delta) - (1.0 - delta)) <= 1e-13
 
 
 def test_reg_inc_beta_boundaries():
-    assert reg_inc_beta(2.0, 3.0, 0.0) == 0.0
-    assert reg_inc_beta(2.0, 3.0, 1.0) == 1.0
+    # I_0 = 0 and I_1 = 1: no successes pin the lower bound at 0 and no
+    # failures the upper bound at 1, exactly, down to the delta floor
+    m = np.arange(1, 300)
+    for delta in (0.9, 0.05, 1e-12, 1e-150, DELTA_FLOOR):
+        lo, _ = cp_bounds_batch(np.zeros_like(m), m, delta)
+        _, up = cp_bounds_batch(m, m, delta)
+        assert (lo == 0.0).all() and (up == 1.0).all()
 
 
 def test_reg_inc_beta_closed_form_cubic():
     # I_x(3,2) = x^3 (4 - 3x); at x = 1/2 that is 5/16
-    assert abs(reg_inc_beta(3.0, 2.0, 0.5) - 0.3125) <= 1e-13
+    assert abs(cp_lower(3, 4, 0.3125) - 0.5) <= 1e-13
+    for delta in (1e-9, 1e-3, 0.05, 0.5, 0.9):
+        x = cp_lower(3, 4, delta)
+        assert abs(x**3 * (4.0 - 3.0 * x) - delta) <= 1e-13 * max(delta, 1e-3)
 
 
 def test_reg_inc_beta_quadrature_oracle():
-    # the value at (3,2,0.5) against adaptive quadrature of t^2(1-t)/B(3,2)
-    val, err = integrate.quad(lambda t: t * t * (1.0 - t), 0.0, 0.5, epsabs=1e-14)
-    assert err < 1e-12
-    assert abs(reg_inc_beta(3.0, 2.0, 0.5) - val * 12.0) <= 1e-12
-
+    # the beta(z, m-z+1) mass below cp_lower, by adaptive quadrature, is delta
     rng = np.random.default_rng(91)
     for _ in range(25):
-        a = float(rng.uniform(0.4, 20.0))
-        b = float(rng.uniform(0.4, 20.0))
-        x = float(rng.uniform(0.02, 0.98))
+        m = int(rng.integers(1, 30))
+        z = int(rng.integers(1, m + 1))
+        delta = float(rng.uniform(0.01, 0.5))
+        a, b = z, m - z + 1
+        x = cp_lower(z, m, delta)
         dens, err = integrate.quad(
             lambda t: t ** (a - 1.0) * (1.0 - t) ** (b - 1.0), 0.0, x,
             epsabs=1e-14, limit=200,
         )
-        oracle = dens / math.exp(
+        mass = dens / math.exp(
             math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
         )
-        assert abs(reg_inc_beta(a, b, x) - oracle) <= 1e-11
+        assert abs(mass - delta) <= 1e-11
 
 
 def test_reg_inc_beta_matches_scipy_grid():
-    rng = np.random.default_rng(17)
-    for _ in range(300):
-        a = float(rng.uniform(0.1, 80.0))
-        b = float(rng.uniform(0.1, 80.0))
-        x = float(rng.random())
-        assert abs(reg_inc_beta(a, b, x) - sps.betainc(a, b, x)) <= 1e-13
+    # the forward incomplete beta at each lower bound gives back delta; an
+    # upper bound is 1 minus a lower bound (test_cp_duality_bit_exact), and
+    # the subtraction rounds away the digits this check would need
+    m = np.concatenate([np.full(k, k) for k in range(1, 81)])
+    z = np.concatenate([np.arange(1, k + 1) for k in range(1, 81)])
+    for delta in (0.3, 0.05, 1e-6, 1e-30):
+        lo, _ = cp_bounds_batch(z, m, delta, upper_where=False)
+        got = sps.betainc(z, m - z + 1, lo)
+        np.testing.assert_allclose(got, delta, rtol=1e-9)
 
 
 def test_reg_inc_beta_symmetry_and_monotonicity():
-    xs = np.linspace(0.0, 1.0, 41)
-    prev = -1.0
-    for x in xs:
-        v = reg_inc_beta(2.5, 7.0, float(x))
-        assert v >= prev
-        prev = v
-        assert abs(v - (1.0 - reg_inc_beta(7.0, 2.5, float(1.0 - x)))) <= 1e-13
+    # the bounds move monotonically with delta; the mirror symmetry
+    # I_x(a,b) = 1 - I_{1-x}(b,a) is test_cp_duality_bit_exact
+    deltas = np.linspace(0.0, 1.0, 41)[1:-1]
+    for z, m in ((0, 9), (2, 9), (7, 9), (9, 9), (40, 151)):
+        lo = [cp_lower(z, m, d) for d in deltas]
+        up = [cp_upper(z, m, d) for d in deltas]
+        assert all(a <= b for a, b in zip(lo, lo[1:]))
+        assert all(a >= b for a, b in zip(up, up[1:]))
 
 
 def test_reg_inc_beta_domain_errors():
-    with pytest.raises(ValueError):
-        reg_inc_beta(0.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        reg_inc_beta(1.0, -2.0, 0.5)
-    with pytest.raises(ValueError):
-        reg_inc_beta(1.0, 1.0, -0.01)
-    with pytest.raises(ValueError):
-        reg_inc_beta(1.0, 1.0, 1.01)
+    # counts outside 0 <= z <= m, m >= 1 have no beta law to invert
+    for z, m in (([1, -1], [3, 3]), ([1, 0], [3, 0]), ([2, 4], [3, 3])):
+        with pytest.raises(ValueError, match="0 <= z <= m"):
+            cp_bounds_batch(np.array(z), np.array(m), 0.05)
 
 
 def test_beta_quantile_uniform_median():
-    assert abs(beta_quantile(0.5, 1.0, 1.0) - 0.5) <= 1e-12
+    assert abs(cp_lower(1, 1, 0.5) - 0.5) <= 1e-12
+    assert abs(cp_upper(0, 1, 0.5) - 0.5) <= 1e-12
 
 
 def test_beta_quantile_boundaries():
-    assert beta_quantile(0.0, 5.0, 2.0) == 0.0
-    assert beta_quantile(1.0, 5.0, 2.0) == 1.0
+    # at z = m the lower bound solves x^m = delta, at z = 0 the upper bound
+    # solves (1-x)^m = delta
+    for delta in (0.9, 0.05, 1e-12, 1e-150, DELTA_FLOOR):
+        for m in (1, 2, 5, 40, 1000):
+            root = delta ** (1.0 / m)
+            want = pytest.approx(root, rel=1e-12, abs=0)
+            assert cp_lower(m, m, delta) == want
+            want = pytest.approx(1.0 - root, rel=1e-12, abs=0)
+            assert cp_upper(0, m, delta) == want
 
 
 def test_beta_quantile_forward_roundtrip():
-    q = beta_quantile(0.95, 6.0, 5.0)
-    assert abs(reg_inc_beta(6.0, 5.0, q) - 0.95) <= 1e-10
+    # the direct-sum binomial CDF at each bound gives back delta, with no
+    # scipy in the check
     rng = np.random.default_rng(23)
     for _ in range(100):
-        a = float(rng.uniform(0.3, 40.0))
-        b = float(rng.uniform(0.3, 40.0))
-        p = float(rng.uniform(1e-6, 1.0 - 1e-6))
-        q = beta_quantile(p, a, b)
-        assert abs(reg_inc_beta(a, b, q) - p) <= 1e-10
+        m = int(rng.integers(1, 40))
+        z = int(rng.integers(0, m + 1))
+        delta = float(rng.uniform(1e-6, 0.5))
+        if z < m:
+            cdf = binom_cdf_direct(z, m, cp_upper(z, m, delta))
+            assert abs(cdf - delta) <= 1e-10
+        if z > 0:
+            tail = 1.0 - binom_cdf_direct(z - 1, m, cp_lower(z, m, delta))
+            assert abs(tail - delta) <= 1e-10
 
 
 def test_beta_quantile_matches_scipy():
+    # inside its bracket the batch route returns betaincinv's value itself
     rng = np.random.default_rng(29)
-    for _ in range(200):
-        a = float(rng.uniform(0.3, 60.0))
-        b = float(rng.uniform(0.3, 60.0))
-        p = float(rng.random())
-        assert abs(beta_quantile(p, a, b) - sps.betaincinv(a, b, p)) <= 1e-10
+    m = rng.integers(1, 500, size=400)
+    z = np.minimum((rng.random(400) * (m + 1)).astype(np.int64), m)
+    for delta in (0.3, 0.05 / 780.0, 1e-9):
+        lo, up = cp_bounds_batch(z, m, delta)
+        inner = z > 0
+        want = sps.betaincinv(z[inner], m[inner] - z[inner] + 1, delta)
+        np.testing.assert_array_equal(lo[inner], want)
+        inner = z < m
+        want = 1.0 - sps.betaincinv(m[inner] - z[inner], z[inner] + 1, delta)
+        np.testing.assert_array_equal(up[inner], want)
 
 
 def test_beta_quantile_domain_errors():
-    with pytest.raises(ValueError):
-        beta_quantile(-0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        beta_quantile(1.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        beta_quantile(0.5, 0.0, 1.0)
+    for delta in (-0.1, 0.0, 1.0, 1.1, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            cp_bounds_batch(np.array([1, 2]), np.array([3, 3]), delta)
+
+
+# binom_cdf_direct is the forward CDF the inversion oracle bisects on; the
+# checks below tie it to exact values and to the incomplete-beta identity
+# P(Bin(m, xi) <= z) = I_{1-xi}(m-z, z+1) that cp_bounds_batch inverts.
 
 
 def test_binom_cdf_edge_cases():
-    assert binom_cdf(-1, 10, 0.4) == 0.0
-    assert binom_cdf(10, 10, 0.4) == 1.0
-    assert binom_cdf(3, 7, 0.0) == 1.0
-    assert binom_cdf(3, 7, 1.0) == 0.0
+    assert binom_cdf_direct(-1, 10, 0.4) == 0.0
+    assert binom_cdf_direct(10, 10, 0.4) == 1.0
+    assert binom_cdf_direct(3, 7, 0.0) == 1.0
+    assert binom_cdf_direct(3, 7, 1.0) == 0.0
 
 
 def test_binom_cdf_small_case_exact():
     # C(10,0)+C(10,1)+C(10,2)+C(10,3) = 176 out of 1024; all terms dyadic
-    assert binom_cdf(3, 10, 0.5) == 0.171875
+    assert binom_cdf_direct(3, 10, 0.5) == 0.171875
 
 
 def test_binom_cdf_direct_sum_oracle():
     rng = np.random.default_rng(37)
     for m in range(1, 26):
-        for z in range(-1, m + 1):
+        for z in range(0, m):
             xi = float(rng.random())
-            assert abs(binom_cdf(z, m, xi) - binom_cdf_direct(z, m, xi)) <= 1e-12
+            want = sps.betainc(m - z, z + 1, 1.0 - xi)
+            assert abs(binom_cdf_direct(z, m, xi) - want) <= 1e-12
 
 
 def test_binom_cdf_large_m_through_beta():
-    # above the summation cutoff the beta identity takes over; compare with
-    # compensated direct summation
     rng = np.random.default_rng(41)
     for m in (60, 150, 400):
         for _ in range(10):
-            z = int(rng.integers(0, m + 1))
+            z = int(rng.integers(0, m))
             xi = float(rng.uniform(0.01, 0.99))
-            direct = math.fsum(
-                math.comb(m, i) * xi**i * (1.0 - xi) ** (m - i)
-                for i in range(z + 1)
-            )
-            assert abs(binom_cdf(z, m, xi) - min(direct, 1.0)) <= 1e-12
+            want = sps.betainc(m - z, z + 1, 1.0 - xi)
+            assert abs(binom_cdf_direct(z, m, xi) - want) <= 1e-12
 
 
 def test_binom_cdf_monotone_in_xi():
-    vals = [binom_cdf(8, 20, xi) for xi in np.linspace(0.0, 1.0, 40)]
+    # the inversion oracle's bisection relies on this
+    vals = [binom_cdf_direct(8, 20, xi) for xi in np.linspace(0.0, 1.0, 40)]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
-
-
-def test_binom_cdf_domain_errors():
-    with pytest.raises(ValueError):
-        binom_cdf(-2, 10, 0.3)
-    with pytest.raises(ValueError):
-        binom_cdf(11, 10, 0.3)
-    with pytest.raises(ValueError):
-        binom_cdf(2, 0, 0.3)
-    with pytest.raises(ValueError):
-        binom_cdf(2, 10, 1.3)
 
 
 def test_cp_upper_examples():
@@ -224,10 +223,11 @@ def test_cp_inversion_oracle_grid():
 
 
 def test_cp_duality_bit_exact():
+    # cp_upper(m-z) is 1 minus the same betaincinv value cp_lower(z) returns
     for delta in (0.3, 0.05, 1e-4, 1e-12):
         for m in (1, 2, 3, 7, 19, 64):
             for z in range(0, m + 1):
-                assert cp_lower(z, m, delta) == 1.0 - cp_upper(m - z, m, delta)
+                assert cp_upper(m - z, m, delta) == 1.0 - cp_lower(z, m, delta)
 
 
 def test_cp_monotonicity():
@@ -267,11 +267,13 @@ def test_cp_brackets_contain_exact_bounds():
             margin = math.sqrt(math.log(1.0 / delta) / (2.0 * m))
             assert (upper_hi <= np.minimum(z / m + margin, 1.0) + 1e-9).all()
             assert (lower_lo >= np.maximum(z / m - margin, 0.0) - 1e-9).all()
-            if m <= 100 and delta >= 1e-6:
-                # the math-module route is independent of scipy
+            if m <= 40 and delta >= 1e-6:
+                # the inversion oracle is independent of scipy
                 for i, zi in enumerate(z.tolist()):
-                    assert lower_lo[i] <= cp_lower(zi, m, delta) <= lower_hi[i]
-                    assert upper_lo[i] <= cp_upper(zi, m, delta) <= upper_hi[i]
+                    want = cp_lower_by_inversion(zi, m, delta)
+                    assert lower_lo[i] <= want <= lower_hi[i]
+                    want = cp_upper_by_inversion(zi, m, delta)
+                    assert upper_lo[i] <= want <= upper_hi[i]
 
 
 def test_cp_brackets_are_tight_where_they_prune():
@@ -294,8 +296,9 @@ def test_cp_bounds_batch_corrects_silent_betaincinv_misses():
     assert sps.betainc(9105, 1000, lo[0]) <= delta
     # betaincinv returns NaN at these tails; the bisection still roots them
     lo, up = cp_bounds_batch(np.array([2, 3]), np.array([5, 5]), 1e-300)
-    assert lo[0] == pytest.approx(math.sqrt(1e-301), rel=1e-9)
-    assert lo[1] == pytest.approx((1e-300 / 10.0) ** (1.0 / 3.0), rel=1e-9)
+    assert lo[0] == pytest.approx(math.sqrt(1e-301), rel=1e-9, abs=0)
+    assert cp_lower(2, 5, 1e-300) == lo[0]
+    assert lo[1] == pytest.approx((1e-300 / 10.0) ** (1.0 / 3.0), rel=1e-9, abs=0)
     assert (up == 1.0).all()
 
 
@@ -330,6 +333,9 @@ def test_cp_domain_and_underflow_errors():
 
 
 def test_cp_bounds_batch_matches_scalar():
+    # the scalar API is the batch route, bit for bit; both match the
+    # scipy-independent inversion oracle to criterion 1's tolerance (its
+    # lower side subtracts a CDF from 1 and loses about 1e-9 at delta=1e-9)
     rng = np.random.default_rng(59)
     m = rng.integers(1, 400, size=600)
     z = (rng.random(600) * (m + 1)).astype(np.int64)
@@ -339,8 +345,12 @@ def test_cp_bounds_batch_matches_scalar():
     for delta in (0.025, 0.05 / 780.0, 1e-9):
         lo, up = cp_bounds_batch(z, m, delta)
         for i in range(z.shape[0]):
-            assert abs(lo[i] - cp_lower(int(z[i]), int(m[i]), delta)) <= 1e-10
-            assert abs(up[i] - cp_upper(int(z[i]), int(m[i]), delta)) <= 1e-10
+            assert lo[i] == cp_lower(int(z[i]), int(m[i]), delta)
+            assert up[i] == cp_upper(int(z[i]), int(m[i]), delta)
+        for i in np.flatnonzero(m <= 60):
+            zi, mi = int(z[i]), int(m[i])
+            assert abs(lo[i] - cp_lower_by_inversion(zi, mi, delta)) <= 1e-9
+            assert abs(up[i] - cp_upper_by_inversion(zi, mi, delta)) <= 1e-9
         assert (lo <= up).all()
 
 
@@ -369,22 +379,6 @@ def test_cp_bounds_batch_validation():
         cp_bounds_batch(np.array([1]), np.array([3]), 1e-310)
 
 
-def test_cp_bounds_batch_thread_override_deterministic(monkeypatch):
-    rng = np.random.default_rng(61)
-    n = 250_000  # above the chunking threshold so threads actually engage
-    m = rng.integers(1, 50, size=n)
-    z = np.minimum((rng.random(n) * (m + 1)).astype(np.int64), m)
-    monkeypatch.delenv("CALBAND_THREADS", raising=False)
-    lo1, up1 = cp_bounds_batch(z, m, 0.01)
-    monkeypatch.setenv("CALBAND_THREADS", "3")
-    lo3, up3 = cp_bounds_batch(z, m, 0.01)
-    assert (lo1 == lo3).all()
-    assert (up1 == up3).all()
-    monkeypatch.setenv("CALBAND_THREADS", "zero")
-    with pytest.raises(ValueError):
-        cp_bounds_batch(z[:10], m[:10], 0.01)
-
-
 def test_reg_inc_gamma_upper_vs_scipy():
     rng = np.random.default_rng(67)
     for _ in range(200):
@@ -406,9 +400,9 @@ def test_chi2_survival_vs_scipy():
 
 
 def test_chi2_survival_zero_df_point_mass():
-    assert chi2_survival(0.0, 0) == 1.0
-    assert chi2_survival(2.5, 0) == 0.0
-    with pytest.raises(ValueError):
-        chi2_survival(1.0, -1)
+    # df = 0, the point mass at zero, carries no p-value
+    for df in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            chi2_survival(1.0, df)
     with pytest.raises(ValueError):
         chi2_survival(-0.5, 3)
