@@ -7,12 +7,13 @@ variant of that family, and the wider Hoeffding-style band around
 isotonic block averages.
 
 The raw band needs, per knot, one extreme over the family's pair bounds.
-It sweeps the pairs twice. The bracket pass (_bracket_levels) sweeps
-closed-form brackets around each bound into per-knot bracket levels; the
-exact pass (_exact_levels) runs betaincinv only for the pairs whose
-bracket can still reach a knot's extreme. Per-knot values come from
-monotone suffix/prefix sweeps, so the full family costs O(|family|)
-brackets and at most that many exact bounds instead of O(N * |family|).
+The bracket pass (_bracket_levels) sweeps closed-form brackets around
+each bound into per-knot bracket levels; the exact pass (_exact_levels)
+tightens the brackets of the pairs that pass them to the KL roots, and
+runs betaincinv only for the pairs whose tight bracket can still reach a
+knot's extreme. Per-knot values come from monotone suffix/prefix sweeps,
+so the full family costs O(|family|) brackets and at most that many
+exact bounds instead of O(N * |family|).
 The result is bit-identical to bounding every pair; raw_band's docstring
 gives the argument. raw_band_crosses shares both passes to decide whether
 the band crosses without building it: the bracket levels settle most
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import cp_bounds_batch, cp_brackets
+from .special import _kl_brackets, cp_bounds_batch, cp_brackets
 
 __all__ = [
     "IndexPairFamily",
@@ -247,19 +248,54 @@ def _exact_levels(data, family, delta, cap_u, floor_l):
 
     A pair's upper side is bounded exactly only if the low end of its
     upper bracket is <= cap_u[j], its lower side only if the high end of
-    its lower bracket is >= floor_l[k]. upper is the suffix-min over rows
+    its lower bracket is >= floor_l[k]; upper is the suffix-min over rows
     of those exact upper bounds, lower the prefix-max over columns of the
-    exact lower bounds; a knot with no such pair gets +inf or -inf.
+    exact lower bounds, and a knot with no such pair gets +inf or -inf.
+
+    The test runs on tightened brackets and caps, in two sweeps that each
+    hold one chunk of pairs at a time. The first refines the outer ends
+    (_kl_brackets) of the sides whose cp_brackets pass and sweeps them
+    into tighter caps and floors, each the min or max with the given one:
+    the outer ends of any subset of pairs cap the levels. The second
+    refines the inner ends of the sides whose cp_brackets pass the tighter
+    caps and floors, and bounds exactly the sides whose refined ends pass
+    them too.
     """
     n_groups = data.n_groups
+    rowmin_u = np.full(n_groups, np.inf)
+    colmax_l = np.full(n_groups, -np.inf)
+    for js, ks, z, m, rows, starts in _pair_chunks(data, family):
+        lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
+        up = upper_lo <= cap_u[js]
+        hi_u = np.full(z.shape, np.inf)
+        hi_u[up] = _kl_brackets(
+            z[up], m[up], delta, upper_lo[up], upper_hi[up], True, inner=False
+        )[1]
+        rowmin_u[rows] = np.minimum.reduceat(hi_u, starts)
+        lo = lower_hi >= floor_l[ks]
+        lo_l = _kl_brackets(
+            z[lo], m[lo], delta, lower_lo[lo], lower_hi[lo], False, inner=False
+        )[0]
+        np.maximum.at(colmax_l, ks[lo], lo_l)
+    cap_u = np.minimum(cap_u, np.minimum.accumulate(rowmin_u[::-1])[::-1])
+    floor_l = np.maximum(floor_l, np.maximum.accumulate(colmax_l))
+
     rowmin_u = np.full(n_groups, np.inf)
     colmax_l = np.full(n_groups, -np.inf)
     uppers = _Survivors(delta, True, rowmin_u)
     lowers = _Survivors(delta, False, colmax_l)
     for js, ks, z, m, _, _ in _pair_chunks(data, family):
-        _, lower_hi, upper_lo, _ = cp_brackets(z, m, delta)
-        uppers.add(upper_lo <= cap_u[js], z, m, js)
-        lowers.add(lower_hi >= floor_l[ks], z, m, ks)
+        lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
+        up = np.flatnonzero(upper_lo <= cap_u[js])
+        lo_u = _kl_brackets(
+            z[up], m[up], delta, upper_lo[up], upper_hi[up], True, outer=False
+        )[0]
+        uppers.add(lo_u <= cap_u[js[up]], z[up], m[up], js[up])
+        lo = np.flatnonzero(lower_hi >= floor_l[ks])
+        hi_l = _kl_brackets(
+            z[lo], m[lo], delta, lower_lo[lo], lower_hi[lo], False, outer=False
+        )[1]
+        lowers.add(hi_l >= floor_l[ks[lo]], z[lo], m[lo], ks[lo])
     uppers.flush()
     lowers.flush()
     upper = np.minimum.accumulate(rowmin_u[::-1])[::-1]
@@ -286,16 +322,20 @@ def raw_band(data, family, alpha):
         lower(x_i) = max over pairs with k <= i of the pair's lower bound,
         with empty min = 1 and empty max = 0.
 
-    Two passes over the pairs. The bracket pass (_bracket_levels) sweeps
-    the closed-form brackets of cp_brackets into per-knot levels; U_hi[j]
-    caps upper(x_j) and L_lo[k] floors lower(x_k). The exact pass
-    (_exact_levels) bounds a pair's upper side only if the low end of its
-    upper bracket is <= U_hi[j], and its lower side only if the high end
-    of its lower bracket is >= L_lo[k]. The band is the same as bounding
-    every pair: the pair attaining upper(x_i) has j >= i and a bound
-    <= upper(x_j) <= U_hi[j], so its bracket passes the test (likewise for
-    the lower side), because cp_bounds_batch keeps every bound inside its
-    bracket.
+    The bracket pass (_bracket_levels) sweeps the closed-form brackets of
+    cp_brackets into per-knot levels; U_hi[j] caps upper(x_j) and L_lo[k]
+    floors lower(x_k). The exact pass (_exact_levels) sweeps the refined
+    outer ends (_kl_brackets) of the pairs that pass these into tighter
+    caps U'[j] <= U_hi[j] and floors L'[k] >= L_lo[k]; a cap from any
+    subset of the pairs still caps the level, since each outer end lies
+    above its pair's bound. It then bounds a pair's upper side only if
+    the low end of its refined upper bracket is <= U'[j], and its lower
+    side only if the high end of its refined lower bracket is >= L'[k].
+    The band is the same as bounding every pair: the pair attaining
+    upper(x_i) has j >= i and a bound <= upper(x_j) <= U'[j], so its
+    bracket passes the test (likewise for the lower side), because
+    cp_bounds_batch keeps every bound inside its refined bracket, which
+    lies inside its closed-form one.
     """
     delta = _delta(data, family, alpha)
     L_lo, _, _, U_hi = _bracket_levels(data, family, delta)
@@ -317,9 +357,10 @@ def raw_band_crosses(data, family, alpha):
     proves a crossing, L_hi <= U_lo at every knot rules one out. Otherwise
     a pair's upper side is bounded exactly only if the low end of its
     upper bracket is <= min(U_hi, L_hi)[j], and its lower side only if the
-    high end of its lower bracket is >= max(L_lo, U_lo)[k]. If the band
-    crosses at x_i, the pair b attaining upper(x_i) passes: its bound is
-    upper(x_{j_b}) <= U_hi[j_b], and it lies below lower(x_i) <=
+    high end of its lower bracket is >= max(L_lo, U_lo)[k], with the
+    brackets and the U_hi and L_lo parts tightened as in raw_band. If the
+    band crosses at x_i, the pair b attaining upper(x_i) passes: its bound
+    is upper(x_{j_b}) <= U_hi[j_b], and it lies below lower(x_i) <=
     lower(x_{j_b}) <= L_hi[j_b]; the pair attaining lower(x_i) passes in
     the mirror image, so the passing pairs' levels cross at x_i too. The
     levels of a subset of pairs are never tighter than the band's, so

@@ -49,17 +49,15 @@ def cp_upper_by_inversion(z, m, delta, tol=1e-12):
 
 
 def cp_lower_by_inversion(z, m, delta, tol=1e-12):
-    """Smallest xi with P(Bin(m, xi) >= z) >= delta, found by bisection."""
+    """Smallest xi with P(Bin(m, xi) >= z) >= delta, by the mirror image.
+
+    P(Bin(m, xi) >= z) = P(Bin(m, 1 - xi) <= m - z), so the bound is 1 minus
+    the upper bound of m - z; inverting that lower tail keeps full
+    precision at small delta, where 1 - CDF would cancel.
+    """
     if z <= 0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if 1.0 - binom_cdf_direct(z - 1, m, mid) >= delta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return 1.0 - cp_upper_by_inversion(m - z, m, delta, tol)
 
 
 def pava_exhaustive(data):

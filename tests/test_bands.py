@@ -26,6 +26,7 @@ from calband.bands import (
 )
 from calband.diagnostics import _band_crosses, isotonicity_pvalue
 from calband.isotonic import IsotonicFit, build_sorted_data, pava
+from calband.simulation import RegressionFamily, simulate_dataset
 from calband.special import cp_lower
 
 
@@ -225,6 +226,22 @@ def test_raw_band_bounds_only_pairs_that_can_set_a_level(monkeypatch):
     raw_band(d, fam, alpha=0.05)
     # bounding both sides of every pair would take 2 * pair_count
     assert 0 < sum(asked for _, asked in calls) < fam.pair_count
+
+
+def test_raw_band_kl_cascade_bounds_few_pairs_exactly(monkeypatch):
+    # a sweep replication: sshaped s = 0.5, n = 2048, K = 1000, 372,816
+    # pairs. With only the closed-form brackets, raw_band bounded 363,505
+    # pair sides exactly here; the KL-tightened caps and inner ends leave
+    # about a fifth of those, with the same band
+    calls = _record_batches(monkeypatch)
+    d = simulate_dataset(RegressionFamily("sshaped", 0.5), 2048, np.random.default_rng(7))
+    fam = rounded_index_family(d, K=1000)
+    got = raw_band(d, fam, alpha=0.05)
+    asked = sum(n for _, n in calls)
+    want = naive_raw_band(d, fam, alpha=0.05)
+    np.testing.assert_array_equal(got.lower_levels, want.lower_levels)
+    np.testing.assert_array_equal(got.upper_levels, want.upper_levels)
+    assert 0 < asked <= 363_505 // 2
 
 
 def test_raw_band_thread_count_does_not_change_levels(monkeypatch):

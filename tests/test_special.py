@@ -15,6 +15,7 @@ from _reference import (
 )
 from calband.special import (
     DELTA_FLOOR,
+    _kl_brackets,
     chi2_survival,
     cp_bounds_batch,
     cp_brackets,
@@ -276,6 +277,78 @@ def test_cp_brackets_contain_exact_bounds():
                     assert upper_lo[i] <= want <= upper_hi[i]
 
 
+def _log_binom_cdf(z, m, p):
+    """log P(Bin(m, p) <= z) by log-sum-exp over lgamma log-pmfs, no scipy."""
+    if p <= 0.0 or z >= m:
+        return 0.0
+    if p >= 1.0:
+        return -math.inf
+    lg = [math.lgamma(i + 1.0) for i in range(m + 1)]
+    lp, lq = math.log(p), math.log1p(-p)
+    terms = [lg[m] - lg[i] - lg[m - i] + i * lp + (m - i) * lq for i in range(z + 1)]
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
+def test_kl_brackets_hold_the_exact_bounds_without_scipy():
+    # each refined end is checked against the binomial tail itself, not
+    # against values the guard clipped into it: P(Bin(m, p) <= z) is at
+    # most delta at the upper bound's outer end and at least delta at its
+    # inner end; the lower side's tail P(Bin(m, p) >= z) is
+    # P(Bin(m, 1 - p) <= m - z)
+    rng = np.random.default_rng(113)
+    m = np.concatenate([[1, 2, 3, 2000, 2000], rng.integers(1, 2001, size=55)])
+    z = np.minimum((rng.random(m.size) * (m + 1)).astype(np.int64), m)
+    z[:5] = [0, 1, 3, 1000, 1999]
+    for delta in (0.3, 0.05, 1e-7, 1e-30, 1e-100, 1e-200, 1e-300):
+        log_d = math.log(delta)
+        lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
+        up_lo, up_hi = _kl_brackets(z, m, delta, upper_lo, upper_hi, True)
+        lo_lo, lo_hi = _kl_brackets(z, m, delta, lower_lo, lower_hi, False)
+        assert ((upper_lo <= up_lo) & (up_lo <= up_hi) & (up_hi <= upper_hi)).all()
+        assert ((lower_lo <= lo_lo) & (lo_lo <= lo_hi) & (lo_hi <= lower_hi)).all()
+        for i, (zi, mi) in enumerate(zip(z.tolist(), m.tolist())):
+            if zi < mi:
+                assert _log_binom_cdf(zi, mi, up_hi[i]) <= log_d
+                assert _log_binom_cdf(zi, mi, up_lo[i]) >= log_d
+            if zi > 0:
+                assert _log_binom_cdf(mi - zi, mi, 1.0 - lo_lo[i]) <= log_d
+                assert _log_binom_cdf(mi - zi, mi, 1.0 - lo_hi[i]) >= log_d
+
+
+def test_kl_brackets_are_tighter_where_bands_prune():
+    # at a Bonferroni-sized delta the KL ends leave a fraction of the
+    # closed-form width
+    z = np.array([3, 50, 500, 9105, 20])
+    m = np.array([40, 100, 1000, 10104, 8000])
+    lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, 1e-7)
+    up_lo, up_hi = _kl_brackets(z, m, 1e-7, upper_lo, upper_hi, True)
+    lo_lo, lo_hi = _kl_brackets(z, m, 1e-7, lower_lo, lower_hi, False)
+    assert (up_hi - up_lo < 0.5 * (upper_hi - upper_lo)).all()
+    assert (lo_hi - lo_lo < 0.5 * (lower_hi - lower_lo)).all()
+    # outer or inner only leaves the other end as given
+    only_out = _kl_brackets(z, m, 1e-7, upper_lo, upper_hi, True, inner=False)
+    np.testing.assert_array_equal(only_out, (upper_lo, up_hi))
+    only_in = _kl_brackets(z, m, 1e-7, lower_lo, lower_hi, False, outer=False)
+    np.testing.assert_array_equal(only_in, (lower_lo, lo_hi))
+
+
+@pytest.mark.parametrize(
+    "z, m, delta, exact",
+    [
+        # exact bounds from an 80-digit mpmath bisection on the binomial CDF
+        (35, 3000, 1e-250, 0.21279308862617476),
+        (12, 1000, 1e-300, 0.53002167649492175),
+        (8664, 10000, 1e-150, 0.93830549621151171),
+    ],
+)
+def test_cp_upper_far_tail_is_conservative(z, m, delta, exact):
+    # betaincinv misses all three; betainc underflows to 0 near the first
+    # two, and a 0 must not pull the re-solve to the inner end
+    assert exact <= cp_upper(z, m, delta) <= exact + 2e-3
+    assert exact <= 1.0 - cp_lower(m - z, m, delta) <= exact + 2e-3
+
+
 def test_cp_brackets_are_tight_where_they_prune():
     z = np.array([0, 3, 50, 500, 9105])
     m = np.array([40, 40, 100, 1000, 10104])
@@ -334,8 +407,7 @@ def test_cp_domain_and_underflow_errors():
 
 def test_cp_bounds_batch_matches_scalar():
     # the scalar API is the batch route, bit for bit; both match the
-    # scipy-independent inversion oracle to criterion 1's tolerance (its
-    # lower side subtracts a CDF from 1 and loses about 1e-9 at delta=1e-9)
+    # scipy-independent inversion oracle to 1e-10
     rng = np.random.default_rng(59)
     m = rng.integers(1, 400, size=600)
     z = (rng.random(600) * (m + 1)).astype(np.int64)
@@ -349,8 +421,8 @@ def test_cp_bounds_batch_matches_scalar():
             assert up[i] == cp_upper(int(z[i]), int(m[i]), delta)
         for i in np.flatnonzero(m <= 60):
             zi, mi = int(z[i]), int(m[i])
-            assert abs(lo[i] - cp_lower_by_inversion(zi, mi, delta)) <= 1e-9
-            assert abs(up[i] - cp_upper_by_inversion(zi, mi, delta)) <= 1e-9
+            assert abs(lo[i] - cp_lower_by_inversion(zi, mi, delta)) <= 1e-10
+            assert abs(up[i] - cp_upper_by_inversion(zi, mi, delta)) <= 1e-10
         assert (lo <= up).all()
 
 
