@@ -154,12 +154,19 @@ def main(argv=None):
         return 2
 
 
+_COLUMNS = (["prediction", "outcome"], ["outcome", "prediction"])
+
+
 def _read_predictions(path, general_covariates):
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     with fh:
+        fast = _read_plain(fh, general_covariates)
+        if fast is not None:
+            return fast
+        fh.seek(0)
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -214,6 +221,39 @@ def _read_predictions(path, general_covariates):
     if not xs:
         raise InputError(f"{path}: no data rows")
     return np.asarray(xs), np.asarray(ys)
+
+
+def _read_plain(fh, general_covariates):
+    """(predictions, outcomes) of a valid two-column file, parsed by numpy.
+
+    Returns None, leaving fh at any position, for any file that the csv
+    loop in _read_predictions might read differently or reject: a header
+    other than the two columns, quotes, a row numpy cannot parse, or a
+    value the loop's checks refuse. The loop then reads the file again and is
+    the only source of error messages and warnings. numpy parses each
+    field with the same routine as float(), so the arrays are the loop's
+    bit for bit.
+    """
+    try:
+        names = [h.strip().lower() for h in fh.readline().rstrip("\r\n").split(",")]
+        if names not in _COLUMNS:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. loadtxt's "no data"
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if table.shape[0] == 0 or table.shape[1] != 2:
+        return None
+    x = table[:, names.index("prediction")]
+    y = table[:, names.index("outcome")]
+    if not np.isfinite(x).all():
+        return None
+    if not general_covariates and not ((x >= 0.0) & (x <= 1.0)).all():
+        return None
+    if not ((y == 0.0) | (y == 1.0)).all():
+        return None
+    return x, y
 
 
 def _parse_zoom(text):
@@ -319,6 +359,45 @@ def _outward_scalar(a, up):
     return nearer if (nearer >= a if up else nearer <= a) else float(c)
 
 
+# What json.dump(indent=2) puts between two items of a list at depth 2.
+_ITEM_SEP = ",\n      "
+
+
+def _run_texts(values):
+    """repr of each value, as a list of str, with one repr per run of equal values.
+
+    Band levels are step functions: at n = 200,000 the lower, upper and
+    isotonic_fit arrays hold a few hundred runs each. Runs are split on
+    the bits, so 0.0 and -0.0 keep their own text. Non-finite values are
+    refused, because repr prints them as nan and inf where json prints NaN
+    and Infinity; band arrays are finite by construction.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("cannot print a band array with non-finite values")
+    bits = a.view(np.uint64)
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    texts = np.array(list(map(float.__repr__, a[starts].tolist())), dtype=object)
+    return texts.repeat(np.diff(np.r_[starts, a.size])).tolist()
+
+
+def _write_document(fh, band_block, diagnostics):
+    """Write json.dump({"band": band_block, **diagnostics}, fh, indent=2) and "\\n".
+
+    The bytes are the same. Each band array is formatted by _run_texts and
+    written as one string, released before the next array; json.dumps
+    renders the small rest of the document.
+    """
+    fh.write('{\n  "band": {')
+    for i, (key, values) in enumerate(band_block.items()):
+        fh.write(f'{"," if i else ""}\n    {json.dumps(key)}: [\n      ')
+        fh.write(_ITEM_SEP.join(_run_texts(values)))
+        fh.write("\n    ]")
+    fh.write("\n  },\n")
+    fh.write(json.dumps(diagnostics, indent=2)[2:])  # drops the opening "{\n"
+    fh.write("\n")
+
+
 def _cmd_band(args):
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
@@ -381,11 +460,13 @@ def _cmd_band(args):
         "hl_bins": args.hl_bins,
         "general_covariates": args.general_covariates,
     }
+    # Arrays, not lists of floats: the writer's texts then take no more
+    # memory than the document's lists used to.
     band_block = {
-        "knots": band.knots.tolist(),
-        "lower": _outward(band.lower_levels, up=False),
-        "upper": _outward(band.upper_levels, up=True),
-        "isotonic_fit": fit_knots.tolist(),
+        "knots": band.knots,
+        "lower": np.asarray(_outward(band.lower_levels, up=False)),
+        "upper": np.asarray(_outward(band.upper_levels, up=True)),
+        "isotonic_fit": fit_knots,
     }
     if verdict is None:
         verdict_block = None
@@ -407,40 +488,29 @@ def _cmd_band(args):
         hl_block = {"error": str(hl)}
     else:
         hl_block = {"statistic": hl.statistic, "p_value": hl.p_value}
-    doc = {
-        "band": band_block,
+    diagnostics = {
         "verdict": verdict_block,
         "isotonicity": iso_block,
         "hosmer_lemeshow": hl_block,
         "meta": meta,
     }
 
-    # json.dump writes chunk by chunk; dumps would hold the whole text
     if args.format == "json":
         if args.output == "-":
-            json.dump(doc, sys.stdout, indent=2)
-            sys.stdout.write("\n")
+            _write_document(sys.stdout, band_block, diagnostics)
         else:
             with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+                _write_document(fh, band_block, diagnostics)
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             for key, val in meta.items():
                 fh.write(f"# {key}={_meta_str(val)}\n")
             fh.write("x,lower,upper,isotonic_fit\n")
-            columns = ("knots", "lower", "upper", "isotonic_fit")
-            for row in zip(*(band_block[c] for c in columns)):
-                fh.write(",".join(map(repr, row)) + "\n")
+            columns = [_run_texts(values) for values in band_block.values()]
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
         sidecar = os.path.splitext(args.output)[0] + ".diagnostics.json"
-        side_doc = {
-            "verdict": verdict_block,
-            "isotonicity": iso_block,
-            "hosmer_lemeshow": hl_block,
-            "meta": meta,
-        }
         with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump(side_doc, fh, indent=2)
+            json.dump(diagnostics, fh, indent=2)
             fh.write("\n")
 
     if args.plot:

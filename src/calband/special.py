@@ -26,7 +26,6 @@ not depend on the scipy build.
 import math
 
 import numpy as np
-from scipy import special as _sps
 
 __all__ = [
     "cp_upper",
@@ -260,6 +259,8 @@ def _bisect_betainc(a, b, p, lo, hi):
     it does not count as below p: the bisection then stops at the outer
     end instead of the inner one.
     """
+    from scipy import special as _sps
+
     lo = np.clip(lo, 0.0, 1.0)
     hi = np.clip(hi, 0.0, 1.0)
     while True:
@@ -293,6 +294,10 @@ def cp_bounds_batch(z, m, delta, lower_where=True, upper_where=True):
     below about 1e-150), so a value outside its bracket is solved again by
     bisection on betainc within the bracket and rounded outward.
     """
+    # Imported here, not at module top: it is most of calband's import
+    # time, and `calband --version` or a usage error never needs it.
+    from scipy import special as _sps
+
     z = np.asarray(z, dtype=np.int64)
     m = np.asarray(m, dtype=np.int64)
     if z.shape != m.shape:

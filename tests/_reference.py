@@ -8,6 +8,7 @@ candidate restrictions); the bound values themselves are verified
 independently against the binomial-CDF inversion oracle below.
 """
 
+import json
 import math
 
 import numpy as np
@@ -297,3 +298,9 @@ def random_sorted_data(rng, n):
         p = x
     y = (rng.random(n) < p).astype(np.float64)
     return build_sorted_data(np.column_stack((x, y)))
+
+
+def dump_document(doc, fh):
+    """`calband band` JSON as json.dump writes it: indent 2, then a newline."""
+    json.dump(doc, fh, indent=2)
+    fh.write("\n")

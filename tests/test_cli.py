@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
 import decimal
+import io
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -10,13 +12,16 @@ import sys
 import numpy as np
 import pytest
 
+from _reference import dump_document
+import calband
+import calband.cli as cli
 from calband.bands import (
     evaluate_band,
     full_index_family,
     noncrossing_band,
     raw_band,
 )
-from calband.cli import _outward, main
+from calband.cli import _ITEM_SEP, _outward, _read_plain, _read_predictions, _run_texts, main
 from calband.isotonic import build_sorted_data, pava
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -203,6 +208,107 @@ def test_outward_rounding_keeps_levels_nondecreasing():
 
 
 # ---------------------------------------------------------------------------
+# JSON writer and CSV table
+
+
+def _spy_documents(monkeypatch):
+    # The documents _write_document is asked to write, built as the JSON
+    # was built before it: every band array as a list of Python floats.
+    docs = []
+    real = cli._write_document
+
+    def spy(fh, band_block, diagnostics):
+        band = {k: np.asarray(v, dtype=np.float64).tolist() for k, v in band_block.items()}
+        docs.append({"band": band, **diagnostics})
+        real(fh, band_block, diagnostics)
+
+    monkeypatch.setattr(cli, "_write_document", spy)
+    return docs
+
+
+def _reference_text(doc):
+    buf = io.StringIO()
+    dump_document(doc, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["demo", "crossing", "general", "one_knot", "odd_path"],
+)
+def test_band_json_matches_json_dump(monkeypatch, capsys, tmp_path, case):
+    flags = []
+    if case == "demo":
+        path = DATA / "demo.csv"
+    elif case == "crossing":
+        path, flags = DATA / "crossing.csv", ["--method", "raw"]
+    elif case == "general":
+        path, flags = DATA / "general.csv", ["--general-covariates"]
+    elif case == "one_knot":
+        path = tmp_path / "one.csv"
+        path.write_text("prediction,outcome\n0.5,1\n")
+    else:
+        path = tmp_path / 'pr\u00e9dictions "v2".csv'
+        shutil.copy(DATA / "demo_small.csv", path)
+    docs = _spy_documents(monkeypatch)
+    out_path = tmp_path / "band.json"
+    code, out, _ = _run(capsys, ["band", str(path), *flags])
+    assert code == 0
+    code, _, _ = _run(capsys, ["band", str(path), *flags, "--output", str(out_path)])
+    assert code == 0
+    assert len(docs) == 2
+    expected = _reference_text(docs[0])
+    assert out == expected
+    assert out_path.read_bytes() == expected.encode("utf-8")
+    if case == "general":
+        assert '"verdict": null' in out
+    if case == "one_knot":
+        assert docs[0]["hosmer_lemeshow"] == {
+            "error": "need at least g=10 observations, got n=1"
+        }
+    if case == "odd_path":
+        assert '\\u00e9dictions \\"v2\\".csv' in out
+
+
+def test_band_csv_table_prints_repr_of_each_cell(monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(DATA)
+    for name in ("demo.csv", "crossing.csv"):
+        code, out, _ = _run(capsys, ["band", name, "--method", "raw"])
+        assert code == 0
+        band = json.loads(out)["band"]
+        columns = [band[k] for k in ("knots", "lower", "upper", "isotonic_fit")]
+        expected = "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+        out_path = tmp_path / "band.csv"
+        code, _, _ = _run(
+            capsys,
+            ["band", name, "--method", "raw", "--format", "csv", "--output", str(out_path)],
+        )
+        assert code == 0
+        table = out_path.read_text().split("x,lower,upper,isotonic_fit\n", 1)[1]
+        assert table == expected
+
+
+def test_run_texts_is_repr_of_each_value():
+    rng = np.random.default_rng(11)
+    steps = np.sort(rng.random(40))
+    # ulp neighbours and signed zeros next to each other must not share a run
+    steps = np.concatenate(([-0.0, 0.0, -0.0], steps, np.nextafter(steps, 2.0)))
+    values = steps[np.sort(rng.integers(0, steps.size, 2000))]
+    texts = _run_texts(values)
+    assert texts == [repr(v) for v in values.tolist()]
+    nested = json.dumps({"band": {"lower": values.tolist()}}, indent=2)
+    assert f"[\n      {_ITEM_SEP.join(texts)}\n    ]" in nested
+    assert _run_texts([0.0, -0.0, -0.0, 0.0]) == ["0.0", "-0.0", "-0.0", "0.0"]
+
+
+def test_run_texts_refuses_non_finite_values():
+    # json would print NaN or Infinity where repr prints nan or inf
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            _run_texts([0.5, bad, 0.5])
+
+
+# ---------------------------------------------------------------------------
 # band input handling and exit codes
 
 
@@ -328,6 +434,113 @@ def test_band_crossing_data_warns_and_reports(capsys):
     assert "reduced 10 requested bins to 2" in err
     assert doc["hosmer_lemeshow"]["p_value"] is None
     assert '"p_value": null' in out
+
+
+# ---------------------------------------------------------------------------
+# vectorized ingest against the csv loop
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _float_spellings(rng):
+    # Random reprs, subnormals, halfway cases between adjacent doubles and
+    # strings of 17 or more digits, all as the loop would read them.
+    texts = [repr(v) for v in rng.random(100_000).tolist()]
+    sub = rng.integers(1, 2**52, 200) * 5e-324
+    texts += [repr(v) for v in sub.tolist()]
+    texts += ["5e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+              "2.2250738585072011e-308", "2.2250738585072012e-308"]
+    for v in rng.random(300).tolist() + sub[:100].tolist():
+        half = (decimal.Decimal(v) + decimal.Decimal(np.nextafter(v, 2.0))) / 2
+        tick = decimal.Decimal(1).scaleb(half.adjusted() - 40)
+        texts += [str(half), str(half + tick), str(half - tick)]
+    for v in rng.random(300).tolist():
+        texts += [f"{v:.17f}", f"{v:.25e}", f"{v:.40f}"]
+    texts += ["0." + "".join(map(str, rng.integers(0, 10, 60))) for _ in range(100)]
+    texts += ["1.", ".5", "+0.25", "5E-1", "-0.0", "0", "1", "1e0", "0.5e-3"]
+    texts += [" 0.5", "0.25 ", "\t0.75\t", "  .125  "]
+    return texts
+
+
+def test_fast_ingest_parses_like_float(tmp_path):
+    texts = _float_spellings(np.random.default_rng(8))
+    outcomes = ["1", "0", " 1.0", "0e0 ", "-0.0", "1.", "+1"]
+    outs = [outcomes[i % len(outcomes)] for i in range(len(texts))]
+    path = tmp_path / "spellings.csv"
+    path.write_text(
+        "prediction,outcome\n" + "".join(f"{p},{o}\n" for p, o in zip(texts, outs))
+    )
+    with open(path, newline="", encoding="utf-8") as fh:
+        got = _read_plain(fh, general_covariates=False)
+    assert got is not None
+    x, y = got
+    np.testing.assert_array_equal(_bits(x), _bits([float(t) for t in texts]))
+    np.testing.assert_array_equal(_bits(y), _bits([float(t) for t in outs]))
+
+
+# (file bytes, extra flags, whether the vectorized reader accepts the file)
+_INGEST_CASES = {
+    "plain": (b"prediction,outcome\n0.5,1\n0.25,0\n0.75,1\n", [], True),
+    "reordered": (b"Outcome , PREDICTION\n1,0.5\n0,0.25\n", [], True),
+    "crlf": (b"prediction,outcome\r\n0.5,1\r\n0.25,0\r\n", [], True),
+    "lone_cr": (b"prediction,outcome\r0.5,1\r0.25,0\r", [], True),
+    "blank_row": (b"prediction,outcome\n0.5,1\n\n0.25,0\n", [], True),
+    "padded": (b"prediction,outcome\n 0.5 , 1 \n\t0.25\t,0\n", [], True),
+    "quoted": (b'"prediction","outcome"\n"0.5","1"\n0.25,0\n', [], False),
+    "quoted_value": (b'prediction,outcome\n0.5,"1"\n0.25,0\n', [], False),
+    "comment_row": (b"prediction,outcome\n# note\n0.5,1\n", [], False),
+    "whitespace_row": (b"prediction,outcome\n0.5,1\n   \n\t\n0.25,0\n", [], False),
+    "bom": (b"\xef\xbb\xbfprediction,outcome\n0.5,1\n", [], False),
+    "bad_utf8": (b"prediction,outcome\n0.5,1\n\xff,0\n", [], False),
+    "extra_column": (b"prediction,outcome,label\n0.2,0,a\n0.4,1,b\n", [], False),
+    "extra_numeric": (b"prediction,outcome,w\n0.2,0,3\n0.4,1,4\n", [], False),
+    "duplicated": (b"prediction,outcome,prediction\n0.2,0,0.9\n0.4,1,0.1\n", [], False),
+    "no_outcome": (b"prediction,prediction\n0.2,0.3\n", [], False),
+    "trailing_comma": (b"prediction,outcome\n0.5,1,\n", [], False),
+    "long_row": (b"prediction,outcome\n0.5,1\n0.25,0,7\n", [], False),
+    "short_row": (b"prediction,outcome\n0.5,1\n0.5\n", [], False),
+    "empty_field": (b"prediction,outcome\n0.5,\n", [], False),
+    "header_only": (b"prediction,outcome\n", [], False),
+    "empty": (b"", [], False),
+    "nan": (b"prediction,outcome\nnan,1\n", [], False),
+    "inf": (b"prediction,outcome\n0.5,1\ninf,0\n", [], False),
+    "nan_general": (b"prediction,outcome\n0.5,1\nnan,0\n", ["--general-covariates"], False),
+    "underscore": (b"prediction,outcome\n1_0,1\n", [], False),
+    "underscore_general": (
+        b"prediction,outcome\n1_0,1\n0.5,0\n", ["--general-covariates"], False
+    ),
+    "outside": (b"prediction,outcome\n0.5,1\n1.5,0\n", [], False),
+    "outside_general": (b"prediction,outcome\n0.5,1\n1.5,0\n", ["--general-covariates"], True),
+    "negative": (b"prediction,outcome\n-0.25,1\n", [], False),
+    "outcome_two": (b"prediction,outcome\n0.5,1\n0.6,2\n", [], False),
+    "outcome_half": (b"prediction,outcome\n0.5,0.5\n", [], False),
+    "outcome_nan": (b"prediction,outcome\n0.5,nan\n", [], False),
+}
+
+
+def _ingest(path, flags, capsys):
+    try:
+        x, y = _read_predictions(path, "--general-covariates" in flags)
+        got = ("arrays", _bits(x).tolist(), _bits(y).tolist())
+    except (cli.InputError, ValueError) as exc:
+        got = (type(exc).__name__, str(exc))
+    return got, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(_INGEST_CASES))
+def test_ingest_matches_the_csv_loop(monkeypatch, capsys, tmp_path, case):
+    data, flags, fast = _INGEST_CASES[case]
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert (_read_plain(fh, "--general-covariates" in flags) is not None) == fast
+
+    both = _ingest(str(path), flags, capsys), _run(capsys, ["band", str(path), *flags])
+    monkeypatch.setattr(cli, "_read_plain", lambda fh, general_covariates: None)
+    loop = _ingest(str(path), flags, capsys), _run(capsys, ["band", str(path), *flags])
+    assert both == loop
 
 
 # ---------------------------------------------------------------------------
@@ -503,4 +716,32 @@ def test_module_invocation_matches_script():
         text=True,
     )
     assert out.returncode == 0
+    assert out.stdout.strip() == "calband 0.1.0"
+
+
+def test_scipy_special_is_imported_only_to_bound_pairs():
+    # scipy.special is most of calband's import time; --version and usage
+    # errors must not pay for it.
+    script = """
+import sys
+from calband.cli import main
+assert "scipy.special" not in sys.modules, "import"
+try:
+    main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0
+assert "scipy.special" not in sys.modules, "--version"
+assert main(["band"]) == 1
+assert main(["band", sys.argv[1], "--alpha", "2"]) == 1
+assert "scipy.special" not in sys.modules, "usage error"
+assert main(["band", sys.argv[1], "--output", sys.argv[2]]) == 0
+assert "scipy.special" in sys.modules
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(calband.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(DATA / "demo_small.csv"), os.devnull],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "calband 0.1.0"
