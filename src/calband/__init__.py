@@ -25,7 +25,6 @@ from .diagnostics import (
     HosmerLemeshowResult,
     IsotonicityReport,
     calibration_verdict,
-    gamma_lower_bound,
     hosmer_lemeshow,
     isotonicity_pvalue,
     isotonicity_report,
@@ -65,7 +64,6 @@ __all__ = [
     "IsotonicityReport",
     "isotonicity_pvalue",
     "isotonicity_report",
-    "gamma_lower_bound",
     "HosmerLemeshowResult",
     "hosmer_lemeshow",
     "FAMILY_KINDS",

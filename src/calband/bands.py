@@ -60,17 +60,19 @@ class IndexPairFamily:
     (two bounds per pair), |pairs| for the rounded family.
     """
 
-    kind: str
     n_groups: int
     correction: int
     row_j: np.ndarray
     k_values: np.ndarray
     row_first_k: np.ndarray
-    K: int | None = None
 
     @property
     def pair_count(self):
-        return int((self.k_values.shape[0] - self.row_first_k).sum())
+        return _pair_count(self.k_values, self.row_first_k)
+
+
+def _pair_count(k_values, row_first_k):
+    return int((k_values.shape[0] - row_first_k).sum())
 
 
 def full_index_family(data):
@@ -78,7 +80,6 @@ def full_index_family(data):
     n = data.n_groups
     idx = np.arange(n, dtype=np.int64)
     return IndexPairFamily(
-        kind="full",
         n_groups=n,
         correction=n * n + n,
         row_j=idx,
@@ -119,18 +120,13 @@ def rounded_index_family(data, K):
     i_geq = np.searchsorted(k_values, row_j, side="left")
     i_rs = np.searchsorted(s_max[k_values], r_min[row_j], side="left")
     row_first_k = np.maximum(i_geq, i_rs)
-
-    fam = IndexPairFamily(
-        kind="rounded",
+    return IndexPairFamily(
         n_groups=data.n_groups,
-        correction=0,
+        correction=_pair_count(k_values, row_first_k),
         row_j=row_j,
         k_values=k_values,
         row_first_k=row_first_k,
-        K=K,
     )
-    object.__setattr__(fam, "correction", fam.pair_count)
-    return fam
 
 
 @dataclass(frozen=True)
@@ -412,7 +408,7 @@ def yb_band(data, fit, alpha):
     if fit.n_groups != n_groups:
         raise ValueError("fit was built from different data")
     b = data.group_bounds
-    sizes = np.diff(b).astype(np.float64)
+    sizes = data.group_sizes.astype(np.float64)
     fiso = np.concatenate(([0.0], np.cumsum(fit.group_levels() * sizes)))
     logterm = math.log((n_groups * n_groups + n_groups) / alpha)
 
@@ -420,7 +416,7 @@ def yb_band(data, fit, alpha):
     lower = np.empty(n_groups, dtype=np.float64)
     lefts = fit.block_starts
     rights = fit.block_ends
-    for blk in range(lefts.shape[0]):
+    for blk in range(fit.n_blocks):
         i_all = np.arange(lefts[blk], rights[blk] + 1, dtype=np.int64)
         k_arr = rights[blk:]
         j_arr = lefts[: blk + 1]

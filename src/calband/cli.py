@@ -29,6 +29,8 @@ from .bands import (
 from .diagnostics import calibration_verdict, hosmer_lemeshow, isotonicity_report
 from .isotonic import build_sorted_data, pava
 from .simulation import (
+    _INDEX_FAMILIES,
+    _METHODS,
     FAMILY_KINDS,
     RegressionFamily,
     result_summary,
@@ -40,7 +42,6 @@ from .svg import render_band_svg
 
 __all__ = ["main", "build_parser", "UsageError", "InputError"]
 
-_METHODS = ("raw", "nc", "yb")
 _CONFIG_KEYS = (
     "family", "s", "n", "alpha", "method", "index_family", "K", "reps",
     "seed", "base_seed",
@@ -80,7 +81,7 @@ def build_parser():
         help="raw, non-crossing (default), or the wider distribution-free band",
     )
     b.add_argument(
-        "--index-family", choices=("full", "rounded"), default="rounded",
+        "--index-family", choices=_INDEX_FAMILIES, default="rounded",
         dest="index_family", help="which interval family to combine (default rounded)",
     )
     b.add_argument(
@@ -115,7 +116,7 @@ def build_parser():
     s.add_argument("--alpha", type=float, default=None)
     s.add_argument("--method", choices=_METHODS, default=None)
     s.add_argument(
-        "--index-family", choices=("full", "rounded"), default=None, dest="index_family"
+        "--index-family", choices=_INDEX_FAMILIES, default=None, dest="index_family"
     )
     s.add_argument("--K", type=int, default=None, dest="K")
     s.add_argument("--reps", type=int, default=None)
@@ -159,7 +160,7 @@ _COLUMNS = (["prediction", "outcome"], ["outcome", "prediction"])
 
 def _read_predictions(path, general_covariates):
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     with fh:
@@ -167,57 +168,67 @@ def _read_predictions(path, general_covariates):
         if fast is not None:
             return fast
         fh.seek(0)
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        names = [h.strip().lower() for h in header]
-        if "prediction" not in names or "outcome" not in names:
+            return _read_rows(fh, path, general_covariates)
+        except UnicodeDecodeError as exc:
             raise InputError(
-                f"{path}: header must contain prediction and outcome columns, "
-                f"got {','.join(header)!r}"
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+            ) from None
+
+
+def _read_rows(fh, path, general_covariates):
+    """(predictions, outcomes) by the csv loop, the source of every input error."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    names = [h.strip().lower() for h in header]
+    if "prediction" not in names or "outcome" not in names:
+        raise InputError(
+            f"{path}: header must contain prediction and outcome columns, "
+            f"got {','.join(header)!r}"
+        )
+    pi = names.index("prediction")
+    oi = names.index("outcome")
+    extras = [h for h in names if h not in ("prediction", "outcome")]
+    if extras:
+        print(
+            f"calband: warning: ignoring extra column(s) {', '.join(extras)}",
+            file=sys.stderr,
+        )
+    xs = []
+    ys = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) <= max(pi, oi):
+            raise InputError(
+                f"{path}: line {lineno}: expected {len(names)} fields, got {len(row)}"
             )
-        pi = names.index("prediction")
-        oi = names.index("outcome")
-        extras = [h for h in names if h not in ("prediction", "outcome")]
-        if extras:
-            print(
-                f"calband: warning: ignoring extra column(s) {', '.join(extras)}",
-                file=sys.stderr,
+        ptxt = row[pi].strip()
+        try:
+            pred = float(ptxt)
+        except ValueError:
+            raise InputError(f"{path}: line {lineno}: bad prediction {ptxt!r}") from None
+        if not math.isfinite(pred):
+            raise InputError(f"{path}: line {lineno}: non-finite prediction {ptxt!r}")
+        if not general_covariates and not 0.0 <= pred <= 1.0:
+            raise InputError(
+                f"{path}: line {lineno}: prediction {ptxt} outside [0, 1] "
+                f"(pass --general-covariates to lift the check)"
             )
-        xs = []
-        ys = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) <= max(pi, oi):
-                raise InputError(
-                    f"{path}: line {lineno}: expected {len(names)} fields, got {len(row)}"
-                )
-            ptxt = row[pi].strip()
-            try:
-                pred = float(ptxt)
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: bad prediction {ptxt!r}") from None
-            if not math.isfinite(pred):
-                raise InputError(f"{path}: line {lineno}: non-finite prediction {ptxt!r}")
-            if not general_covariates and not 0.0 <= pred <= 1.0:
-                raise InputError(
-                    f"{path}: line {lineno}: prediction {ptxt} outside [0, 1] "
-                    f"(pass --general-covariates to lift the check)"
-                )
-            otxt = row[oi].strip()
-            try:
-                out = float(otxt)
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: bad outcome {otxt!r}") from None
-            if out not in (0.0, 1.0):
-                raise InputError(
-                    f"{path}: line {lineno}: outcome must be 0 or 1, got {otxt}"
-                )
-            xs.append(pred)
-            ys.append(out)
+        otxt = row[oi].strip()
+        try:
+            out = float(otxt)
+        except ValueError:
+            raise InputError(f"{path}: line {lineno}: bad outcome {otxt!r}") from None
+        if out not in (0.0, 1.0):
+            raise InputError(
+                f"{path}: line {lineno}: outcome must be 0 or 1, got {otxt}"
+            )
+        xs.append(pred)
+        ys.append(out)
     if not xs:
         raise InputError(f"{path}: no data rows")
     return np.asarray(xs), np.asarray(ys)
@@ -227,7 +238,7 @@ def _read_plain(fh, general_covariates):
     """(predictions, outcomes) of a valid two-column file, parsed by numpy.
 
     Returns None, leaving fh at any position, for any file that the csv
-    loop in _read_predictions might read differently or reject: a header
+    loop in _read_rows might read differently or reject: a header
     other than the two columns, quotes, a row numpy cannot parse, or a
     value the loop's checks refuse. The loop then reads the file again and is
     the only source of error messages and warnings. numpy parses each
@@ -576,10 +587,26 @@ def _pick(flag_value, conf, key, conv, default):
     return default
 
 
+def _settings(args, conf):
+    """(alpha, index_family, K, reps, seed): each flag, else config, else default."""
+    alpha = _pick(args.alpha, conf, "alpha", float, 0.05)
+    index_family = _pick(args.index_family, conf, "index_family", str, "rounded")
+    K = _pick(args.K, conf, "K", int, 1000)
+    reps = _pick(args.reps, conf, "reps", int, 200)
+    seed = _pick(args.seed, conf, "seed", int, 0)
+    if index_family not in _INDEX_FAMILIES:
+        raise UsageError(f"unknown index family {index_family!r}")
+    if not 0.0 < alpha < 1.0:
+        raise UsageError(f"alpha must be in (0, 1), got {alpha}")
+    if reps < 1 or K < 1 or seed < 0:
+        raise UsageError("reps and K must be positive and seed nonnegative")
+    return alpha, index_family, K, reps, seed
+
+
 def _cmd_simulate(args):
-    if args.paper_table is not None:
-        return _cmd_table(args)
     conf = _read_config(args.config) if args.config else {}
+    if args.paper_table is not None:
+        return _cmd_table(args, conf)
     family_kind = _pick(args.family, conf, "family", str, None)
     s = _pick(args.s, conf, "s", float, None)
     n = _pick(args.n, conf, "n", int, None)
@@ -592,20 +619,12 @@ def _cmd_simulate(args):
         raise UsageError(f"simulate needs {', '.join(missing)} (flags or --config file)")
     if family_kind not in FAMILY_KINDS:
         raise UsageError(f"unknown family {family_kind!r}")
-    alpha = _pick(args.alpha, conf, "alpha", float, 0.05)
     method = _pick(args.method, conf, "method", str, "nc")
     if method not in _METHODS:
         raise UsageError(f"unknown method {method!r}")
-    index_family = _pick(args.index_family, conf, "index_family", str, "rounded")
-    if index_family not in ("full", "rounded"):
-        raise UsageError(f"unknown index family {index_family!r}")
-    K = _pick(args.K, conf, "K", int, 1000)
-    reps = _pick(args.reps, conf, "reps", int, 200)
-    seed = _pick(args.seed, conf, "seed", int, 0)
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {alpha}")
-    if n < 1 or reps < 1 or K < 1 or seed < 0:
-        raise UsageError("n, reps, and K must be positive and seed nonnegative")
+    if n < 1:
+        raise UsageError(f"n must be positive, got {n}")
+    alpha, index_family, K, reps, seed = _settings(args, conf)
     try:
         family = RegressionFamily(family_kind, s)
     except ValueError as exc:
@@ -630,7 +649,7 @@ def _cmd_simulate(args):
     return 0
 
 
-def _cmd_table(args):
+def _cmd_table(args, conf):
     if not args.cells or not args.cells.strip():
         raise UsageError(
             "--paper-table requires --cells with at least one s=<float>:n=<int> cell"
@@ -662,13 +681,7 @@ def _cmd_table(args):
             "(the isotonicity test uses the raw band)",
             file=sys.stderr,
         )
-    alpha = args.alpha if args.alpha is not None else 0.05
-    reps = args.reps if args.reps is not None else 200
-    seed = args.seed if args.seed is not None else 0
-    K = args.K if args.K is not None else 1000
-    index_family = args.index_family if args.index_family is not None else "rounded"
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {alpha}")
+    alpha, index_family, K, reps, seed = _settings(args, conf)
 
     rows = []
     for s, n in cells:

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import raw_band, raw_band_crosses
+# raw_band stays importable here: perfbench/traced.py wraps it in this namespace
+from .bands import raw_band, raw_band_crosses  # noqa: F401
 from .special import chi2_survival
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "calibration_verdict",
     "isotonicity_pvalue",
     "isotonicity_report",
-    "gamma_lower_bound",
     "hosmer_lemeshow",
 ]
 
@@ -162,35 +162,24 @@ def calibration_verdict(band):
     )
 
 
-def _band_crosses(band):
-    # Knots carry (L_i, U_i); the open piece after knot i carries
-    # (L_i, U_{i+1}). Upper levels are nondecreasing, so the piece check
-    # cannot fire without the knot check, but it is the documented
-    # complete criterion and costs one comparison.
-    low = band.lower_levels
-    up = band.upper_levels
-    if bool((low > up).any()):
-        return True
-    return bool((low[:-1] > up[1:]).any())
+def _crossing_gap(band):
+    """Largest amount by which the lower level exceeds the upper at a knot.
+
+    The band crosses itself exactly when this is positive, and gamma_hat
+    is half of it then. Knots suffice: the open piece after knot i carries
+    (L_i, U_{i+1}), and upper levels never decrease, so no piece overlaps
+    by more than the knot before it.
+    """
+    return float((band.lower_levels - band.upper_levels).max())
 
 
 def _crossing_regions(band):
-    # _band_crosses tests exactly the pieces scanned below, so a band that
-    # never crosses skips building the piece arrays
-    if not _band_crosses(band):
+    # a band that never crosses skips building the piece arrays
+    if _crossing_gap(band) <= 0.0:
         return []
     a, b, ai, bi, low, up = _pieces(band, band.knots[0], band.knots[-1])
     cross = low > up
     return _merge(a[cross], b[cross], ai[cross], bi[cross])
-
-
-def _gamma_from_band(band):
-    low = band.lower_levels
-    up = band.upper_levels
-    best = float((low - up).max())
-    if low.shape[0] > 1:
-        best = max(best, float((low[:-1] - up[1:]).max()))
-    return 0.5 * max(0.0, best)
 
 
 def isotonicity_pvalue(data, family):
@@ -219,17 +208,6 @@ def isotonicity_pvalue(data, family):
     return 0.5 * (lo + hi)
 
 
-def gamma_lower_bound(data, family, alpha):
-    """Lower (1-alpha)-confidence bound on the non-isotonicity measure.
-
-    Half the largest amount by which the raw band's lower bound exceeds
-    its upper bound, zero when they never cross.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (0, 1)")
-    return _gamma_from_band(raw_band(data, family, alpha))
-
-
 def isotonicity_report(data, family, band, alpha):
     """Bundle p-value, gamma bound, and crossing regions at one level.
 
@@ -241,7 +219,7 @@ def isotonicity_report(data, family, band, alpha):
         raise ValueError(f"alpha={alpha} outside (0, 1)")
     return IsotonicityReport(
         p_value=isotonicity_pvalue(data, family),
-        gamma_hat=_gamma_from_band(band),
+        gamma_hat=0.5 * max(0.0, _crossing_gap(band)),
         crossing_regions=_crossing_regions(band),
         alpha=alpha,
     )

@@ -124,7 +124,7 @@ def pava(data):
     """
     b = data.group_bounds
     sums = (data.prefix_sums[b[1:]] - data.prefix_sums[b[:-1]]).tolist()
-    sizes = np.diff(b).tolist()
+    sizes = data.group_sizes.tolist()
     n_groups = data.n_groups
 
     start = []

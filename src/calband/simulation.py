@@ -24,6 +24,7 @@ from .bands import (
     rounded_index_family,
     yb_band,
 )
+from .diagnostics import _crossing_gap
 from .isotonic import build_sorted_data, pava
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
 
 FAMILY_KINDS = ("monomial", "sshaped", "kink", "step", "wave")
 _METHODS = ("raw", "nc", "yb")
+_INDEX_FAMILIES = ("full", "rounded")
 RNG_NAME = "philox4x64"
 
 _S_RANGES = {
@@ -143,7 +145,7 @@ def _checkpoints(family):
     for all families; they are cheap and close the argument.
     """
     pts = [0.0, 1.0]
-    if family.kind == "wave" and family.s > 0.5:
+    if not family.is_isotonic:
         d = math.sqrt((2.0 * family.s - 1.0) / (24.0 * family.s))
         pts += [0.5 - d, 0.5 + d]
     return np.asarray(pts)
@@ -229,7 +231,7 @@ def run_experiment(
             raise ValueError(f"unknown method {method!r}")
     if len(set(methods)) != len(methods):
         raise ValueError(f"duplicate method in {methods!r}")
-    if index_family not in ("full", "rounded"):
+    if index_family not in _INDEX_FAMILIES:
         raise ValueError(f"unknown index family {index_family!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1)")
@@ -259,7 +261,7 @@ def run_experiment(
         fit = pava(data) if needs_fit else None
         # every band's knots are the data's distinct x values
         p_knots = eval_p(family, rawb.knots)
-        rejected[rep] = bool((rawb.lower_levels > rawb.upper_levels).any())
+        rejected[rep] = _crossing_gap(rawb) > 0.0
 
         for j, method in enumerate(methods):
             if method == "raw":

@@ -40,15 +40,15 @@ def _step_runs(band, fit_levels, a, b):
     mids = 0.5 * (bounds[:-1] + bounds[1:])
     lo, up = evaluate_band(band, mids, extrapolate=True)
     idx = np.clip(np.searchsorted(knots, mids, side="right") - 1, 0, knots.shape[0] - 1)
-    fit = fit_levels[idx] if fit_levels is not None else None
-    return bounds, lo, up, fit
+    return bounds, lo, up, np.asarray(fit_levels, dtype=np.float64)[idx]
 
 
-def render_band_svg(band, fit_levels=None, regions=(), zoom=(0.0, 1.0), title=""):
-    """Render a band (plus optional fit and excluded regions) to SVG text.
+def render_band_svg(band, fit_levels, regions=(), zoom=(0.0, 1.0), title=""):
+    """Render a band, its isotonic fit and excluded regions to SVG text.
 
-    zoom = (a, b) restricts both axes to [a, b]; regions are x-intervals
-    to overpaint in red on the diagonal.
+    fit_levels holds the fitted value at each knot; zoom = (a, b) restricts
+    both axes to [a, b]; regions are x-intervals to overpaint in red on the
+    diagonal.
     """
     a, b = float(zoom[0]), float(zoom[1])
     if not a < b:
@@ -61,7 +61,7 @@ def render_band_svg(band, fit_levels=None, regions=(), zoom=(0.0, 1.0), title=""
     def py(y):
         return _MT + (b - y) / span * _PH
 
-    bounds, lo, up, fit = _step_runs(band, np.asarray(fit_levels, dtype=np.float64) if fit_levels is not None else None, a, b)
+    bounds, lo, up, fit = _step_runs(band, fit_levels, a, b)
 
     def run_points(levels):
         pts = []
@@ -113,11 +113,10 @@ def render_band_svg(band, fit_levels=None, regions=(), zoom=(0.0, 1.0), title=""
         f'<polyline points="{pts_attr(lo_pts)}" fill="none" '
         f'stroke="{_BAND_EDGE}" stroke-width="1.5"/>'
     )
-    if fit is not None:
-        out.append(
-            f'<polyline points="{pts_attr(run_points(fit))}" fill="none" '
-            f'stroke="{_FIT_COLOR}" stroke-width="2"/>'
-        )
+    out.append(
+        f'<polyline points="{pts_attr(run_points(fit))}" fill="none" '
+        f'stroke="{_FIT_COLOR}" stroke-width="2"/>'
+    )
     out.append(
         f'<line x1="{_fmt(px(a))}" y1="{_fmt(py(a))}" x2="{_fmt(px(b))}" '
         f'y2="{_fmt(py(b))}" stroke="black" stroke-width="1.5"/>'

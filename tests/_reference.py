@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from calband.bands import StepBand, raw_band
-from calband.diagnostics import _band_crosses
 from calband.isotonic import build_sorted_data
 from calband.special import cp_bounds_batch
 
@@ -129,6 +128,11 @@ def naive_raw_band(data, family, alpha):
     )
 
 
+def band_crosses(band):
+    """Whether the lower level exceeds the upper level at some knot."""
+    return bool((band.lower_levels > band.upper_levels).any())
+
+
 def isotonicity_pvalue_by_rebuilds(data, family):
     """The p-value bisection that builds the whole raw band at every probe.
 
@@ -136,14 +140,14 @@ def isotonicity_pvalue_by_rebuilds(data, family):
     library, so the two must agree bit for bit.
     """
     hi = 1.0 - 1e-6
-    if not _band_crosses(raw_band(data, family, hi)):
+    if not band_crosses(raw_band(data, family, hi)):
         return 1.0
     lo = 1e-8
-    if _band_crosses(raw_band(data, family, lo)):
+    if band_crosses(raw_band(data, family, lo)):
         return 0.0
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        if _band_crosses(raw_band(data, family, mid)):
+        if band_crosses(raw_band(data, family, mid)):
             hi = mid
         else:
             lo = mid

@@ -492,7 +492,7 @@ _INGEST_CASES = {
     "quoted_value": (b'prediction,outcome\n0.5,"1"\n0.25,0\n', [], False),
     "comment_row": (b"prediction,outcome\n# note\n0.5,1\n", [], False),
     "whitespace_row": (b"prediction,outcome\n0.5,1\n   \n\t\n0.25,0\n", [], False),
-    "bom": (b"\xef\xbb\xbfprediction,outcome\n0.5,1\n", [], False),
+    "bom": (b"\xef\xbb\xbfprediction,outcome\n0.5,1\n", [], True),
     "bad_utf8": (b"prediction,outcome\n0.5,1\n\xff,0\n", [], False),
     "extra_column": (b"prediction,outcome,label\n0.2,0,a\n0.4,1,b\n", [], False),
     "extra_numeric": (b"prediction,outcome,w\n0.2,0,3\n0.4,1,4\n", [], False),
@@ -534,13 +534,41 @@ def test_ingest_matches_the_csv_loop(monkeypatch, capsys, tmp_path, case):
     data, flags, fast = _INGEST_CASES[case]
     path = tmp_path / "input.csv"
     path.write_bytes(data)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         assert (_read_plain(fh, "--general-covariates" in flags) is not None) == fast
 
     both = _ingest(str(path), flags, capsys), _run(capsys, ["band", str(path), *flags])
     monkeypatch.setattr(cli, "_read_plain", lambda fh, general_covariates: None)
     loop = _ingest(str(path), flags, capsys), _run(capsys, ["band", str(path), *flags])
     assert both == loop
+
+
+def test_band_non_utf8_input_is_io_error_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"prediction,outcome\n0.5,1\n\xff,0\n")
+    code, out, err = _run(capsys, ["band", str(path)])
+    assert code == 2
+    assert out == ""
+    assert str(path) in err and "UTF-8" in err and "0xff" in err
+
+
+def test_band_reads_a_byte_order_mark_like_its_absence(capsys, tmp_path):
+    text = (DATA / "demo_small.csv").read_bytes()
+    # the quoted header sends the file through the csv loop after a rewind
+    quoted = text.replace(b"prediction,outcome", b'"prediction","outcome"', 1)
+    plain = tmp_path / "plain.csv"
+    marked = tmp_path / "marked.csv"
+    for body in (text, quoted):
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        code, want, want_err = _run(capsys, ["band", str(plain)])
+        assert code == 0
+        code, got, err = _run(capsys, ["band", str(marked)])
+        assert code == 0 and err == want_err
+        want, got = json.loads(want), json.loads(got)
+        assert got["band"] == want["band"]
+        del got["meta"]["input"], want["meta"]["input"]
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +714,30 @@ def test_table_grid_output_and_files(capsys, tmp_path):
     assert {c["s"] for c in doc["cells"]} == {0.5, 1.0}
     for cell in doc["cells"]:
         assert 0.0 <= cell["rejection_rate"] <= 1.0
+
+
+def test_table_reads_config_and_flags_override_it(capsys, tmp_path):
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text("alpha=0.1\nreps=2\nseed=3\nindex_family=full\n")
+    argv = ["simulate", "--paper-table", "iso", "--cells", "s=1.0:n=24",
+            "--config", str(cfg)]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[1] == "alpha=0.1 reps=2 seed=3 index_family=full"
+    code, out, _ = _run(capsys, argv + ["--seed", "4", "--index-family", "rounded"])
+    assert code == 0
+    assert out.splitlines()[1] == "alpha=0.1 reps=2 seed=4 index_family=rounded K=1000"
+
+
+def test_table_validates_settings_like_one_cell(capsys, tmp_path):
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text("reps=0\n")
+    base = ["simulate", "--paper-table", "iso", "--cells", "s=1.0:n=24"]
+    for extra in (["--config", str(cfg)], ["--reps", "0"], ["--K", "0"],
+                  ["--seed", "-1"], ["--alpha", "1.5"]):
+        code, _, err = _run(capsys, base + extra)
+        assert code == 1, extra
+        assert "error" in err
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from _reference import (
     isotonicity_pvalue_by_rebuilds,
     miscalibrated_regions_loop,
     random_sorted_data,
+    segments,
 )
 from calband.bands import (
     StepBand,
@@ -22,7 +23,6 @@ from calband.bands import (
 )
 from calband.diagnostics import (
     calibration_verdict,
-    gamma_lower_bound,
     hosmer_lemeshow,
     isotonicity_pvalue,
     isotonicity_report,
@@ -40,6 +40,15 @@ def _band(knots, lower, upper):
         lower_levels=np.asarray(lower, float),
         upper_levels=np.asarray(upper, float),
     )
+
+
+def _gamma(d, fam, alpha):
+    return isotonicity_report(d, fam, raw_band(d, fam, alpha), alpha).gamma_hat
+
+
+def _piece_overlap(band):
+    """Largest lower minus upper over the knots and the open pieces between."""
+    return max(low - up for *_, low, up in segments(band, band.knots[0], band.knots[-1]))
 
 
 def _two_block_data(m):
@@ -140,6 +149,7 @@ def test_regions_match_the_piece_loops_on_coarse_grids():
         assert all(type(v) is float for r in got for v in r)
         want = crossing_regions_loop(band)
         assert calband.diagnostics._crossing_regions(band) == want
+        assert calband.diagnostics._crossing_gap(band) == _piece_overlap(band)
         regions += len(got)
         crossings += len(want)
     assert regions > 1000 and crossings > 300
@@ -166,8 +176,8 @@ def test_pvalue_matches_closed_form_threshold():
     fam = full_index_family(d)
     p = isotonicity_pvalue(d, fam)
     assert p == pytest.approx(6.0 * 2.0**-12, abs=1e-4)
-    assert gamma_lower_bound(d, fam, p + 5e-4) > 0.0
-    assert gamma_lower_bound(d, fam, max(p - 5e-4, 1e-6)) == 0.0
+    assert _gamma(d, fam, p + 5e-4) > 0.0
+    assert _gamma(d, fam, max(p - 5e-4, 1e-6)) == 0.0
 
 
 def test_pvalue_matches_bisection_by_band_rebuilds():
@@ -194,32 +204,32 @@ def test_gamma_closed_form_two_blocks():
     d = _two_block_data(12)
     delta = 0.05 / 6.0
     want = 0.5 * (2.0 * delta ** (1.0 / 12.0) - 1.0)
-    got = gamma_lower_bound(d, full_index_family(d), alpha=0.05)
+    got = _gamma(d, full_index_family(d), alpha=0.05)
     assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_gamma_zero_without_crossing():
     d = _data(np.linspace(0.1, 0.9, 6), [0, 0, 1, 0, 1, 1])
-    assert gamma_lower_bound(d, full_index_family(d), alpha=0.05) == 0.0
+    assert _gamma(d, full_index_family(d), alpha=0.05) == 0.0
 
 
 def test_gamma_validates_alpha():
     d = _two_block_data(3)
     fam = full_index_family(d)
+    band = raw_band(d, fam, 0.05)
     for bad in (0.0, 1.0, 2.0):
         with pytest.raises(ValueError):
-            gamma_lower_bound(d, fam, bad)
+            isotonicity_report(d, fam, band, bad)
 
 
 def test_report_bundles_consistent_fields():
     d = _two_block_data(12)
     fam = full_index_family(d)
-    rep = isotonicity_report(d, fam, raw_band(d, fam, 0.05), alpha=0.05)
+    band = raw_band(d, fam, 0.05)
+    rep = isotonicity_report(d, fam, band, alpha=0.05)
     assert rep.alpha == 0.05
     assert rep.p_value < 0.05
-    assert rep.gamma_hat == pytest.approx(
-        gamma_lower_bound(d, fam, 0.05), abs=0
-    )
+    assert rep.gamma_hat == 0.5 * _piece_overlap(band) > 0.0
     assert rep.crossing_regions == [(0.25, 0.75)]
 
 
