@@ -8,17 +8,20 @@ isotonic block averages.
 
 The raw band needs, per knot, one extreme over the family's pair bounds.
 The bracket pass (_bracket_levels) sweeps closed-form brackets around
-each bound into per-knot bracket levels; the exact pass (_exact_levels)
-tightens the brackets of the pairs that pass them to the KL roots, and
-runs betaincinv only for the pairs whose tight bracket can still reach a
-knot's extreme. Per-knot values come from monotone suffix/prefix sweeps,
-so the full family costs O(|family|) brackets and at most that many
-exact bounds instead of O(N * |family|).
+each bound into per-knot bracket levels, and picks per row and per
+column a champion side, the likeliest to set a level. The champions'
+exact bounds (_champion_bounds) cap the levels far closer than the
+brackets do. The exact pass (_exact_levels) sweeps once more: it
+tightens the inner ends of the sides that pass these caps to the KL
+roots, and runs betaincinv only for the sides whose tight inner end still
+reaches a cap, which tightens as bounds come in. Per-knot values come
+from monotone suffix/prefix sweeps, so the full family costs O(|family|)
+brackets and at most that many exact bounds instead of O(N * |family|).
 The result is bit-identical to bounding every pair; raw_band's docstring
 gives the argument. raw_band_crosses shares both passes to decide whether
 the band crosses without building it: the bracket levels settle most
-alphas alone, and the exact pass then needs only the pairs that can set a
-crossing level.
+alphas alone, the champions' bounds most of the rest, and the exact pass
+then needs only the pairs that can set a crossing level.
 """
 
 import math
@@ -148,47 +151,82 @@ class StepBand:
 
 
 def _pair_chunks(data, family):
-    """Yield (js, ks, z, m, rows, starts) for runs of whole family rows.
+    """Yield (rows, cols, z, m, starts) for runs of whole family rows.
 
-    Each chunk holds about _PAIR_CHUNK pairs (at least one row), row-major;
-    rows are the chunk's start indices and starts the offset of each row.
+    Each chunk holds about _PAIR_CHUNK pairs (at least one row), row-major.
+    rows and cols are each pair's row and column position in the family,
+    indices into row_j and k_values; starts is the offset of each row.
     """
     b = data.group_bounds
     ps = data.prefix_sums[b]
-    row_j = family.row_j
-    k_values = family.k_values
     first = family.row_first_k
-    row_sizes = k_values.shape[0] - first
+    row_sizes = family.k_values.shape[0] - first
     cum = np.concatenate(([0], np.cumsum(row_sizes)))
-    n_rows = row_j.shape[0]
+    n_rows = first.shape[0]
     r0 = 0
     while r0 < n_rows:
         r1 = int(np.searchsorted(cum, cum[r0] + _PAIR_CHUNK, side="left"))
         r1 = min(max(r1, r0 + 1), n_rows)
-        js = np.repeat(row_j[r0:r1], row_sizes[r0:r1])
-        ks = np.concatenate([k_values[f:] for f in first[r0:r1].tolist()])
+        sizes = row_sizes[r0:r1]
         starts = cum[r0:r1] - cum[r0]
-        yield js, ks, ps[ks + 1] - ps[js], b[ks + 1] - b[js], row_j[r0:r1], starts
+        rows = np.repeat(np.arange(r0, r1), sizes)
+        cols = np.arange(cum[r1] - cum[r0]) + np.repeat(first[r0:r1] - starts, sizes)
+        js = family.row_j[rows]
+        ks = family.k_values[cols]
+        yield rows, cols, ps[ks + 1] - ps[js], b[ks + 1] - b[js], starts
         r0 = r1
 
 
-class _Survivors:
-    """Pairs kept for one side, bounded exactly in batches of _CHUNK_MIN.
+def _suffix_min(values, at, n_groups):
+    """Per-knot suffix-min of values placed at knots at; +inf past the last."""
+    out = np.full(n_groups, np.inf)
+    out[at] = values
+    return np.minimum.accumulate(out[::-1])[::-1]
 
-    Each chunk keeps only a fraction of its pairs, so batching across
-    chunks keeps cp_bounds_batch calls few, which bounds the per-call
-    overhead, while _CHUNK_MIN bounds the memory a batch holds.
+
+def _prefix_max(values, at, n_groups):
+    """Per-knot prefix-max of values placed at knots at; -inf before the first."""
+    out = np.full(n_groups, -np.inf)
+    out[at] = values
+    return np.maximum.accumulate(out)
+
+
+class _Survivors:
+    """One side's pairs that can still set a level, bounded exactly.
+
+    index is a pair's row (upper side) or column (lower side) position.
+    out holds the least upper (greatest lower) bound computed so far per
+    index, starting from the champions' bounds; cap is the per-index cap
+    (floor) a pair's inner bracket end must pass, tightened after every
+    solve by the suffix-min over rows (prefix-max over columns) of out.
+    A pair with its index's champion's (z, m) has its bound in out
+    already. flush solves in two rounds: first, per index, the pair whose
+    KL inner end is most extreme; then only the pairs whose inner end
+    still passes the cap those bounds tightened. Pairs are batched across
+    chunks, so cp_bounds_batch calls stay few, and a batch is flushed
+    early at _CHUNK_MIN pairs, which bounds the memory it holds.
     """
 
-    def __init__(self, delta, upper, out):
+    def __init__(self, delta, upper, cap, champions, bounds):
         self.delta = delta
         self.upper = upper
-        self.out = out
+        self.cap = cap
+        self.champions = champions
+        self.out = np.array(bounds)
+        self._tighten()
         self.pieces = []
         self.size = 0
 
-    def add(self, keep, z, m, index):
-        self.pieces.append((z[keep], m[keep], index[keep]))
+    def passes(self, inner, index):
+        """Whether inner ends can still reach the level at their index."""
+        if self.upper:
+            return inner <= self.cap[index]
+        return inner >= self.cap[index]
+
+    def add(self, z, m, index, inner):
+        z0, m0 = self.champions[:, index]
+        keep = self.passes(inner, index) & ((z != z0) | (m != m0))
+        self.pieces.append((z[keep], m[keep], index[keep], inner[keep]))
         self.size += self.pieces[-1][0].shape[0]
         if self.size >= _CHUNK_MIN:
             self.flush()
@@ -196,8 +234,18 @@ class _Survivors:
     def flush(self):
         if not self.size:
             return
-        z, m, index = (np.concatenate(p) for p in zip(*self.pieces))
+        z, m, index, inner = (np.concatenate(p) for p in zip(*self.pieces))
         self.pieces, self.size = [], 0
+        order = np.lexsort((inner if self.upper else -inner, index))
+        first = order[np.unique(index[order], return_index=True)[1]]
+        self._solve(z[first], m[first], index[first])
+        rest = self.passes(inner, index)
+        rest[first] = False
+        self._solve(z[rest], m[rest], index[rest])
+
+    def _solve(self, z, m, index):
+        if not z.shape[0]:
+            return
         lo, up = cp_bounds_batch(
             z, m, self.delta, lower_where=not self.upper, upper_where=self.upper
         )
@@ -205,6 +253,14 @@ class _Survivors:
             np.minimum.at(self.out, index, up)
         else:
             np.maximum.at(self.out, index, lo)
+        self._tighten()
+
+    def _tighten(self):
+        if self.upper:
+            tight = np.minimum.accumulate(self.out[::-1])[::-1]
+            self.cap = np.minimum(self.cap, tight)
+        else:
+            self.cap = np.maximum(self.cap, np.maximum.accumulate(self.out))
 
 
 def _delta(data, family, alpha):
@@ -217,86 +273,99 @@ def _delta(data, family, alpha):
 
 
 def _bracket_levels(data, family, delta):
-    """Per-knot brackets (L_lo, L_hi, U_lo, U_hi) around the band's levels.
+    """Per-knot brackets (L_lo, L_hi, U_lo, U_hi) and the champion sides.
 
     L_lo and L_hi are prefix-maxima over columns k' <= k of the lower
     brackets' two ends, U_lo and U_hi suffix-minima over rows j' >= j of
     the upper brackets' two ends; so L_lo <= lower <= L_hi and
     U_lo <= upper <= U_hi at every knot with a pair on that side. A knot
     with no pair on a side gets -inf (lower) or +inf (upper).
+
+    The champions are (z, m) arrays of shape (2, rows) and (2, columns):
+    per row the upper side with the smallest upper_lo, per column the
+    lower side with the largest lower_hi, the likeliest to set a level.
     """
-    n_groups = data.n_groups
-    rowmin = np.full((2, n_groups), np.inf)
-    colmax = np.full((2, n_groups), -np.inf)
-    for _, ks, z, m, rows, starts in _pair_chunks(data, family):
+    n_rows = family.row_j.shape[0]
+    n_cols = family.k_values.shape[0]
+    rowmin = np.full((2, n_rows), np.inf)
+    colmax = np.full((2, n_cols), -np.inf)
+    row_zm = np.empty((2, n_rows), dtype=np.int64)
+    col_zm = np.empty((2, n_cols), dtype=np.int64)
+    for rows, cols, z, m, starts in _pair_chunks(data, family):
         lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
-        rowmin[0, rows] = np.minimum.reduceat(upper_lo, starts)
-        rowmin[1, rows] = np.minimum.reduceat(upper_hi, starts)
-        np.maximum.at(colmax[0], ks, lower_lo)
-        np.maximum.at(colmax[1], ks, lower_hi)
-    L_lo, L_hi = np.maximum.accumulate(colmax, axis=1)
-    U_lo, U_hi = np.minimum.accumulate(rowmin[:, ::-1], axis=1)[:, ::-1]
-    return L_lo, L_hi, U_lo, U_hi
+        r = rows[starts]
+        rowmin[0, r] = np.minimum.reduceat(upper_lo, starts)
+        rowmin[1, r] = np.minimum.reduceat(upper_hi, starts)
+        np.maximum.at(colmax[0], cols, lower_lo)
+        np.maximum.at(colmax[1], cols, lower_hi)
+        # one hit per row and per column; a column's running max is only
+        # hit in the chunks that raise or tie it
+        for zm, index, hit in (
+            (row_zm, rows, np.flatnonzero(upper_lo == rowmin[0, rows])),
+            (col_zm, cols, np.flatnonzero(lower_hi == colmax[1, cols])),
+        ):
+            at, i = np.unique(index[hit], return_index=True)
+            zm[:, at] = z[hit[i]], m[hit[i]]
+    n_groups = data.n_groups
+    L_lo, L_hi = (_prefix_max(v, family.k_values, n_groups) for v in colmax)
+    U_lo, U_hi = (_suffix_min(v, family.row_j, n_groups) for v in rowmin)
+    return L_lo, L_hi, U_lo, U_hi, (row_zm, col_zm)
 
 
-def _exact_levels(data, family, delta, cap_u, floor_l):
+def _champion_bounds(delta, champions):
+    """Computed bounds of the champions: upper per row, lower per column.
+
+    One cp_bounds_batch call per side. Each caps (floors) the band's level
+    at every knot its pair covers.
+    """
+    row_zm, col_zm = champions
+    up = cp_bounds_batch(row_zm[0], row_zm[1], delta, lower_where=False)[1]
+    lo = cp_bounds_batch(col_zm[0], col_zm[1], delta, upper_where=False)[0]
+    return up, lo
+
+
+def _exact_levels(data, family, delta, cap_u, floor_l, champions, bounds):
     """Exact (upper, lower) levels over the pairs whose brackets pass.
 
-    A pair's upper side is bounded exactly only if the low end of its
-    upper bracket is <= cap_u[j], its lower side only if the high end of
-    its lower bracket is >= floor_l[k]; upper is the suffix-min over rows
-    of those exact upper bounds, lower the prefix-max over columns of the
-    exact lower bounds, and a knot with no such pair gets +inf or -inf.
+    cap_u and floor_l are per knot, champions and bounds come from
+    _bracket_levels and _champion_bounds. A pair's upper side is bounded
+    exactly only if the inner (low) end of its upper bracket is <= cap_u[j]
+    and the champions' computed cap at j, its lower side only if the inner
+    (high) end of its lower bracket is >= floor_l[k] and the champions'
+    floor at k; upper is the suffix-min over rows of those exact upper
+    bounds and the champions', lower the prefix-max over columns of the
+    exact lower bounds and the champions', and a knot with no pair gets
+    +inf or -inf.
 
-    The test runs on tightened brackets and caps, in two sweeps that each
-    hold one chunk of pairs at a time. The first refines the outer ends
-    (_kl_brackets) of the sides whose cp_brackets pass and sweeps them
-    into tighter caps and floors, each the min or max with the given one:
-    the outer ends of any subset of pairs cap the levels. The second
-    refines the inner ends of the sides whose cp_brackets pass the tighter
-    caps and floors, and bounds exactly the sides whose refined ends pass
-    them too.
+    One sweep, one chunk of pairs at a time: the closed-form inner end is
+    tested first, then the KL inner end (_kl_brackets) of the sides that
+    pass, and _Survivors bounds the sides that pass both, tightening the
+    caps and floors from the bounds it computes.
     """
-    n_groups = data.n_groups
-    rowmin_u = np.full(n_groups, np.inf)
-    colmax_l = np.full(n_groups, -np.inf)
-    for js, ks, z, m, rows, starts in _pair_chunks(data, family):
+    row_zm, col_zm = champions
+    uppers = _Survivors(delta, True, cap_u[family.row_j], row_zm, bounds[0])
+    lowers = _Survivors(delta, False, floor_l[family.k_values], col_zm, bounds[1])
+    for rows, cols, z, m, _ in _pair_chunks(data, family):
         lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
-        up = upper_lo <= cap_u[js]
-        hi_u = np.full(z.shape, np.inf)
-        hi_u[up] = _kl_brackets(
-            z[up], m[up], delta, upper_lo[up], upper_hi[up], True, inner=False
-        )[1]
-        rowmin_u[rows] = np.minimum.reduceat(hi_u, starts)
-        lo = lower_hi >= floor_l[ks]
-        lo_l = _kl_brackets(
-            z[lo], m[lo], delta, lower_lo[lo], lower_hi[lo], False, inner=False
-        )[0]
-        np.maximum.at(colmax_l, ks[lo], lo_l)
-    cap_u = np.minimum(cap_u, np.minimum.accumulate(rowmin_u[::-1])[::-1])
-    floor_l = np.maximum(floor_l, np.maximum.accumulate(colmax_l))
-
-    rowmin_u = np.full(n_groups, np.inf)
-    colmax_l = np.full(n_groups, -np.inf)
-    uppers = _Survivors(delta, True, rowmin_u)
-    lowers = _Survivors(delta, False, colmax_l)
-    for js, ks, z, m, _, _ in _pair_chunks(data, family):
-        lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
-        up = np.flatnonzero(upper_lo <= cap_u[js])
+        up = np.flatnonzero(uppers.passes(upper_lo, rows))
+        z_up, m_up = z[up], m[up]
         lo_u = _kl_brackets(
-            z[up], m[up], delta, upper_lo[up], upper_hi[up], True, outer=False
+            z_up, m_up, delta, upper_lo[up], upper_hi[up], True, outer=False
         )[0]
-        uppers.add(lo_u <= cap_u[js[up]], z[up], m[up], js[up])
-        lo = np.flatnonzero(lower_hi >= floor_l[ks])
+        uppers.add(z_up, m_up, rows[up], lo_u)
+        lo = np.flatnonzero(lowers.passes(lower_hi, cols))
+        z_lo, m_lo = z[lo], m[lo]
         hi_l = _kl_brackets(
-            z[lo], m[lo], delta, lower_lo[lo], lower_hi[lo], False, outer=False
+            z_lo, m_lo, delta, lower_lo[lo], lower_hi[lo], False, outer=False
         )[1]
-        lowers.add(hi_l >= floor_l[ks[lo]], z[lo], m[lo], ks[lo])
+        lowers.add(z_lo, m_lo, cols[lo], hi_l)
     uppers.flush()
     lowers.flush()
-    upper = np.minimum.accumulate(rowmin_u[::-1])[::-1]
-    lower = np.maximum.accumulate(colmax_l)
-    return upper, lower
+    n_groups = data.n_groups
+    return (
+        _suffix_min(uppers.out, family.row_j, n_groups),
+        _prefix_max(lowers.out, family.k_values, n_groups),
+    )
 
 
 def raw_band(data, family, alpha):
@@ -320,22 +389,27 @@ def raw_band(data, family, alpha):
 
     The bracket pass (_bracket_levels) sweeps the closed-form brackets of
     cp_brackets into per-knot levels; U_hi[j] caps upper(x_j) and L_lo[k]
-    floors lower(x_k). The exact pass (_exact_levels) sweeps the refined
-    outer ends (_kl_brackets) of the pairs that pass these into tighter
-    caps U'[j] <= U_hi[j] and floors L'[k] >= L_lo[k]; a cap from any
-    subset of the pairs still caps the level, since each outer end lies
-    above its pair's bound. It then bounds a pair's upper side only if
-    the low end of its refined upper bracket is <= U'[j], and its lower
-    side only if the high end of its refined lower bracket is >= L'[k].
-    The band is the same as bounding every pair: the pair attaining
-    upper(x_i) has j >= i and a bound <= upper(x_j) <= U'[j], so its
-    bracket passes the test (likewise for the lower side), because
-    cp_bounds_batch keeps every bound inside its refined bracket, which
-    lies inside its closed-form one.
+    floors lower(x_k). It also picks one champion side per row and per
+    column. A computed bound of any pair caps (floors) the computed level
+    at every knot the pair covers, so with X_u the suffix-min over rows
+    and X_l the prefix-max over columns of the champions' computed bounds
+    (_champion_bounds), U'[j] = min(U_hi, X_u)[j] caps upper(x_j) and
+    L'[k] = max(L_lo, X_l)[k] floors lower(x_k). The exact pass
+    (_exact_levels) bounds a pair's upper side only if the low end of its
+    refined upper bracket is <= U'[j], and its lower side only if the high
+    end of its refined lower bracket is >= L'[k]; the bounds it computes
+    tighten U' and L' in the same way as it goes. The band is the same as
+    bounding every pair: the pair attaining upper(x_i) has j >= i and a
+    bound <= upper(x_j) <= U'[j], so its bracket passes the test (likewise
+    for the lower side), because cp_bounds_batch keeps every bound inside
+    its refined bracket, which lies inside its closed-form one. A pair
+    with its row's (column's) champion's (z, m) is not bounded again: its
+    computed bound is the champion's.
     """
     delta = _delta(data, family, alpha)
-    L_lo, _, _, U_hi = _bracket_levels(data, family, delta)
-    upper, lower = _exact_levels(data, family, delta, U_hi, L_lo)
+    L_lo, _, _, U_hi, champions = _bracket_levels(data, family, delta)
+    bounds = _champion_bounds(delta, champions)
+    upper, lower = _exact_levels(data, family, delta, U_hi, L_lo, champions, bounds)
     upper = np.where(np.isfinite(upper), upper, 1.0)
     lower = np.where(np.isfinite(lower), lower, 0.0)
     return StepBand(
@@ -351,25 +425,33 @@ def raw_band_crosses(data, family, alpha):
     the open piece after a knot implies one at the knot; knots suffice.
     The bracket levels decide most calls alone: L_lo > U_hi at a knot
     proves a crossing, L_hi <= U_lo at every knot rules one out. Otherwise
-    a pair's upper side is bounded exactly only if the low end of its
-    upper bracket is <= min(U_hi, L_hi)[j], and its lower side only if the
-    high end of its lower bracket is >= max(L_lo, U_lo)[k], with the
-    brackets and the U_hi and L_lo parts tightened as in raw_band. If the
-    band crosses at x_i, the pair b attaining upper(x_i) passes: its bound
-    is upper(x_{j_b}) <= U_hi[j_b], and it lies below lower(x_i) <=
-    lower(x_{j_b}) <= L_hi[j_b]; the pair attaining lower(x_i) passes in
-    the mirror image, so the passing pairs' levels cross at x_i too. The
-    levels of a subset of pairs are never tighter than the band's, so
-    they cross only where the band crosses.
+    the champions' bounds tighten these to U' = min(U_hi, X_u) and
+    L' = max(L_lo, X_l) as in raw_band, and L' > U' at a knot proves a
+    crossing. Failing that, a pair's upper side is bounded exactly only if
+    the low end of its refined upper bracket is <= min(U', L_hi)[j], and
+    its lower side only if the high end of its refined lower bracket is
+    >= max(L', U_lo)[k]. If the band crosses at x_i, the pair b attaining
+    upper(x_i) passes: its bound is upper(x_i) <= upper(x_{j_b}) <=
+    U'[j_b], and it lies below lower(x_i) <= lower(x_{j_b}) <= L_hi[j_b];
+    the pair attaining lower(x_i) passes in the mirror image, so the
+    passing pairs' levels cross at x_i too. The levels of a subset of pairs
+    are never tighter than the band's, so they cross only where the band
+    crosses.
     """
     delta = _delta(data, family, alpha)
-    L_lo, L_hi, U_lo, U_hi = _bracket_levels(data, family, delta)
+    L_lo, L_hi, U_lo, U_hi, champions = _bracket_levels(data, family, delta)
     if (L_lo > U_hi).any():
         return True
     if (L_hi <= U_lo).all():
         return False
+    bounds = _champion_bounds(delta, champions)
+    X_u = _suffix_min(bounds[0], family.row_j, data.n_groups)
+    X_l = _prefix_max(bounds[1], family.k_values, data.n_groups)
+    if (np.maximum(L_lo, X_l) > np.minimum(U_hi, X_u)).any():
+        return True
     upper, lower = _exact_levels(
-        data, family, delta, np.minimum(U_hi, L_hi), np.maximum(L_lo, U_lo)
+        data, family, delta, np.minimum(U_hi, L_hi), np.maximum(L_lo, U_lo),
+        champions, bounds,
     )
     return bool((lower > upper).any())
 

@@ -29,6 +29,7 @@ from .bands import (
 from .diagnostics import calibration_verdict, hosmer_lemeshow, isotonicity_report
 from .isotonic import build_sorted_data, pava
 from .simulation import (
+    _DEFAULTS,
     _INDEX_FAMILIES,
     _METHODS,
     FAMILY_KINDS,
@@ -75,18 +76,22 @@ def build_parser():
         "band", help="compute a band and diagnostics for a predictions CSV"
     )
     b.add_argument("input", help="CSV file with header columns prediction,outcome")
-    b.add_argument("--alpha", type=float, default=0.05, help="band level (default 0.05)")
+    b.add_argument(
+        "--alpha", type=float, default=_DEFAULTS["alpha"],
+        help=f"band level (default {_DEFAULTS['alpha']})",
+    )
     b.add_argument(
         "--method", choices=_METHODS, default="nc",
         help="raw, non-crossing (default), or the wider distribution-free band",
     )
     b.add_argument(
-        "--index-family", choices=_INDEX_FAMILIES, default="rounded",
-        dest="index_family", help="which interval family to combine (default rounded)",
+        "--index-family", choices=_INDEX_FAMILIES, default=_DEFAULTS["index_family"],
+        dest="index_family",
+        help=f"which interval family to combine (default {_DEFAULTS['index_family']})",
     )
     b.add_argument(
-        "--K", type=int, default=1000, dest="K",
-        help="grid resolution of the rounded family (default 1000)",
+        "--K", type=int, default=_DEFAULTS["K"], dest="K",
+        help=f"grid resolution of the rounded family (default {_DEFAULTS['K']})",
     )
     b.add_argument(
         "--no-extrapolate", action="store_true",
@@ -171,9 +176,11 @@ def _read_predictions(path, general_covariates):
         try:
             return _read_rows(fh, path, general_covariates)
         except UnicodeDecodeError as exc:
-            raise InputError(
-                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
-            ) from None
+            raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path, exc):
+    return InputError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})")
 
 
 def _read_rows(fh, path, general_covariates):
@@ -554,23 +561,27 @@ def _cmd_band(args):
 
 
 def _read_config(path):
-    conf = {}
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            key, eq, val = text.partition("=")
-            if not eq:
-                raise InputError(f"{path}: line {lineno}: expected key=value")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                print(f"calband: warning: unknown config key {key!r}", file=sys.stderr)
-            conf[key] = val.strip()
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+    conf = {}
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        key, eq, val = text.partition("=")
+        if not eq:
+            raise InputError(f"{path}: line {lineno}: expected key=value")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            print(f"calband: warning: unknown config key {key!r}", file=sys.stderr)
+        conf[key] = val.strip()
     if "base_seed" in conf and "seed" not in conf:
         conf["seed"] = conf["base_seed"]
     return conf
@@ -589,11 +600,13 @@ def _pick(flag_value, conf, key, conv, default):
 
 def _settings(args, conf):
     """(alpha, index_family, K, reps, seed): each flag, else config, else default."""
-    alpha = _pick(args.alpha, conf, "alpha", float, 0.05)
-    index_family = _pick(args.index_family, conf, "index_family", str, "rounded")
-    K = _pick(args.K, conf, "K", int, 1000)
-    reps = _pick(args.reps, conf, "reps", int, 200)
-    seed = _pick(args.seed, conf, "seed", int, 0)
+    alpha = _pick(args.alpha, conf, "alpha", float, _DEFAULTS["alpha"])
+    index_family = _pick(
+        args.index_family, conf, "index_family", str, _DEFAULTS["index_family"]
+    )
+    K = _pick(args.K, conf, "K", int, _DEFAULTS["K"])
+    reps = _pick(args.reps, conf, "reps", int, _DEFAULTS["reps"])
+    seed = _pick(args.seed, conf, "seed", int, _DEFAULTS["seed"])
     if index_family not in _INDEX_FAMILIES:
         raise UsageError(f"unknown index family {index_family!r}")
     if not 0.0 < alpha < 1.0:

@@ -42,6 +42,11 @@ __all__ = [
 FAMILY_KINDS = ("monomial", "sshaped", "kink", "step", "wave")
 _METHODS = ("raw", "nc", "yb")
 _INDEX_FAMILIES = ("full", "rounded")
+#: Band settings a caller leaves unset: `calband band`, `calband simulate`
+#: and run_experiment all read them here.
+_DEFAULTS = {
+    "alpha": 0.05, "index_family": "rounded", "K": 1000, "reps": 200, "seed": 0,
+}
 RNG_NAME = "philox4x64"
 
 _S_RANGES = {
@@ -203,12 +208,12 @@ class ExperimentResult:
 def run_experiment(
     family,
     n,
-    alpha=0.05,
+    alpha=_DEFAULTS["alpha"],
     methods=("nc",),
-    index_family="rounded",
-    K=1000,
-    reps=200,
-    base_seed=0,
+    index_family=_DEFAULTS["index_family"],
+    K=_DEFAULTS["K"],
+    reps=_DEFAULTS["reps"],
+    base_seed=_DEFAULTS["seed"],
 ):
     """Replicate band construction on synthetic data and record outcomes.
 

@@ -229,8 +229,8 @@ def test_raw_band_bounds_only_pairs_that_can_set_a_level(monkeypatch):
 def test_raw_band_kl_cascade_bounds_few_pairs_exactly(monkeypatch):
     # a sweep replication: sshaped s = 0.5, n = 2048, K = 1000, 372,816
     # pairs. With only the closed-form brackets, raw_band bounded 363,505
-    # pair sides exactly here; the KL-tightened caps and inner ends leave
-    # about a fifth of those, with the same band
+    # pair sides exactly here, and 70,763 with caps from the KL outer
+    # ends; the champions' exact caps leave about a third of those
     calls = _record_batches(monkeypatch)
     d = simulate_dataset(RegressionFamily("sshaped", 0.5), 2048, np.random.default_rng(7))
     fam = rounded_index_family(d, K=1000)
@@ -239,22 +239,66 @@ def test_raw_band_kl_cascade_bounds_few_pairs_exactly(monkeypatch):
     want = naive_raw_band(d, fam, alpha=0.05)
     np.testing.assert_array_equal(got.lower_levels, want.lower_levels)
     np.testing.assert_array_equal(got.upper_levels, want.upper_levels)
-    assert 0 < asked <= 363_505 // 2
+    assert 0 < asked <= 35_000
 
 
 def test_raw_band_thread_count_does_not_change_levels(monkeypatch):
-    # survivors of many chunks reach betaincinv in batches of _CHUNK_MIN,
-    # and the batch size does not change the levels
-    calls = _record_batches(monkeypatch)
+    # survivors of many chunks reach betaincinv in one batch per side;
+    # a small _CHUNK_MIN flushes several batches per side mid-sweep, each
+    # tightening the caps the next chunks are tested against, and the
+    # batch size does not change the levels
+    flushed = []
+    real = bands_module._Survivors.flush
+
+    def spy(self):
+        flushed.append((self.upper, self.size))
+        real(self)
+
+    monkeypatch.setattr(bands_module._Survivors, "flush", spy)
     rng = np.random.default_rng(103)
     d = _data(rng.random(1500), rng.random(1500) < 0.3)
     fam = full_index_family(d)
+    single = raw_band(d, fam, alpha=0.05)
+    assert sorted(up for up, n in flushed if n) == [False, True]
+    del flushed[:]
+    monkeypatch.setattr(bands_module, "_CHUNK_MIN", 500)
     batched = raw_band(d, fam, alpha=0.05)
-    assert max(n for n, _ in calls) >= bands_module._CHUNK_MIN
-    monkeypatch.setattr(bands_module, "_CHUNK_MIN", 1)
-    per_chunk = raw_band(d, fam, alpha=0.05)
-    np.testing.assert_array_equal(batched.lower_levels, per_chunk.lower_levels)
-    np.testing.assert_array_equal(batched.upper_levels, per_chunk.upper_levels)
+    for side in (False, True):
+        assert sum(1 for up, n in flushed if up is side and n) >= 2
+    np.testing.assert_array_equal(batched.lower_levels, single.lower_levels)
+    np.testing.assert_array_equal(batched.upper_levels, single.upper_levels)
+
+
+def test_raw_band_and_crossing_match_naive_on_edge_families():
+    # tied champions: all-0 (all-1) outcomes tie the closed-form inner
+    # ends of every column (row), and equal groups with equal counts
+    # repeat each (z, m) across rows; coarse grids leave one-pair rows;
+    # K = 1 on covariates inside (0, 1) is one pair, so delta = alpha,
+    # above 1/2 at the last alpha
+    rng = np.random.default_rng(109)
+    x = np.repeat(np.arange(1, 41) / 41, 6)
+    cases = [
+        _data(x, np.tile([1, 0, 0, 1, 0, 0], 40)),
+        _data(x, np.tile([1, 1, 0, 1, 1, 1], 40)),
+        _data(np.linspace(0.01, 0.99, 90), np.zeros(90)),
+        _data(np.linspace(0.01, 0.99, 90), np.ones(90)),
+        _data([0.3], [0]),
+        _tied_data(rng, 200, 8, 0.6),
+        random_sorted_data(rng, 120),
+    ]
+    one_pair_rows = 0
+    for d in cases:
+        families = [full_index_family(d)]
+        families += [rounded_index_family(d, K) for K in (1, 3, 7, 40)]
+        for fam in families:
+            one_pair_rows += int((fam.k_values.shape[0] - fam.row_first_k == 1).sum())
+            for alpha in (1e-8, 0.05, 0.5, 0.9):
+                want = naive_raw_band(d, fam, alpha)
+                got = raw_band(d, fam, alpha)
+                np.testing.assert_array_equal(got.lower_levels, want.lower_levels)
+                np.testing.assert_array_equal(got.upper_levels, want.upper_levels)
+                assert raw_band_crosses(d, fam, alpha) is band_crosses(want)
+    assert one_pair_rows > 0
 
 
 def test_raw_band_levels_are_nondecreasing():

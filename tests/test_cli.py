@@ -641,6 +641,28 @@ def test_simulate_config_seed_alias_and_unknown_key(capsys, tmp_path):
     assert json.loads(out)["config"]["base_seed"] == "9"
 
 
+def test_simulate_config_with_byte_order_mark(capsys, tmp_path):
+    plain = tmp_path / "plain.cfg"
+    marked = tmp_path / "marked.cfg"
+    body = b"family=monomial\ns=0.5\nn=16\nreps=2\n"
+    plain.write_bytes(body)
+    marked.write_bytes(b"\xef\xbb\xbf" + body)
+    code, want, _ = _run(capsys, ["simulate", "--config", str(plain)])
+    assert code == 0
+    code, got, err = _run(capsys, ["simulate", "--config", str(marked)])
+    assert code == 0 and err == ""
+    assert got == want
+
+
+def test_simulate_non_utf8_config_is_io_error_naming_the_file(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"# caf\xff\nfamily=monomial\ns=0.5\nn=16\n")
+    code, out, err = _run(capsys, ["simulate", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert str(cfg) in err and "UTF-8" in err and "0xff" in err
+
+
 def test_simulate_usage_errors(capsys, tmp_path):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("family=monomial\ns=abc\nn=16\n")

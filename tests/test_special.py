@@ -326,9 +326,9 @@ def test_kl_brackets_are_tighter_where_bands_prune():
     lo_lo, lo_hi = _kl_brackets(z, m, 1e-7, lower_lo, lower_hi, False)
     assert (up_hi - up_lo < 0.5 * (upper_hi - upper_lo)).all()
     assert (lo_hi - lo_lo < 0.5 * (lower_hi - lower_lo)).all()
-    # outer or inner only leaves the other end as given
-    only_out = _kl_brackets(z, m, 1e-7, upper_lo, upper_hi, True, inner=False)
-    np.testing.assert_array_equal(only_out, (upper_lo, up_hi))
+    # the inner end alone leaves the outer end as given
+    only_in = _kl_brackets(z, m, 1e-7, upper_lo, upper_hi, True, outer=False)
+    np.testing.assert_array_equal(only_in, (up_lo, upper_hi))
     only_in = _kl_brackets(z, m, 1e-7, lower_lo, lower_hi, False, outer=False)
     np.testing.assert_array_equal(only_in, (lower_lo, lo_hi))
 
