@@ -24,6 +24,8 @@ import time
 from pathlib import Path
 
 from calband.simulation import (
+    _DEFAULTS,
+    _METHODS,
     FAMILY_KINDS,
     RegressionFamily,
     run_experiment,
@@ -33,16 +35,15 @@ from calband.simulation import (
 
 DEFAULT_SIZES = (512, 2048, 8192, 32768)
 DEFAULT_SHAPES = tuple(round(i / 10, 1) for i in range(11))
-DEFAULT_METHODS = ("raw", "nc", "yb")
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="results", type=Path)
     parser.add_argument("--reps", type=int, default=1000)
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--K", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"])
+    parser.add_argument("--K", type=int, default=_DEFAULTS["K"])
+    parser.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     parser.add_argument(
         "--sizes", default=",".join(map(str, DEFAULT_SIZES)),
         help="comma-separated sample sizes",
@@ -56,7 +57,7 @@ def parse_args(argv):
         help="comma-separated s values; ones invalid for a family are skipped",
     )
     parser.add_argument(
-        "--methods", default=",".join(DEFAULT_METHODS),
+        "--methods", default=",".join(_METHODS),
         help="comma-separated band methods",
     )
     parser.add_argument(

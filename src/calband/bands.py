@@ -9,19 +9,21 @@ isotonic block averages.
 The raw band needs, per knot, one extreme over the family's pair bounds.
 The bracket pass (_bracket_levels) sweeps closed-form brackets around
 each bound into per-knot bracket levels, and picks per row and per
-column a champion side, the likeliest to set a level. The champions'
-exact bounds (_champion_bounds) cap the levels far closer than the
-brackets do. The exact pass (_exact_levels) sweeps once more: it
-tightens the inner ends of the sides that pass these caps to the KL
-roots, and runs betaincinv only for the sides whose tight inner end still
-reaches a cap, which tightens as bounds come in. Per-knot values come
-from monotone suffix/prefix sweeps, so the full family costs O(|family|)
-brackets and at most that many exact bounds instead of O(N * |family|).
-The result is bit-identical to bounding every pair; raw_band's docstring
-gives the argument. raw_band_crosses shares both passes to decide whether
-the band crosses without building it: the bracket levels settle most
-alphas alone, the champions' bounds most of the rest, and the exact pass
-then needs only the pairs that can set a crossing level.
+column a champion side, the likeliest to set a level. _Survivors owns
+every exact bound: it bounds a champion, as any other pair, only if the
+champion's inner bracket end reaches its cap, and each bound it computes
+tightens the caps far closer than the brackets do. It bounds the
+champions first; the exact pass (_exact_levels) then sweeps once more,
+tightens the inner ends of the sides that pass the caps to the KL roots,
+and hands _Survivors the sides whose tight inner end still reaches a
+cap. Per-knot values come from monotone suffix/prefix sweeps, so the
+full family costs O(|family|) brackets and at most that many exact
+bounds instead of O(N * |family|). The result is bit-identical to
+bounding every pair; raw_band's docstring gives the argument.
+raw_band_crosses shares both passes to decide whether the band crosses
+without building it: the bracket levels settle most alphas alone, the
+champions' bounds most of the rest, and the exact pass then needs only
+the pairs that can set a crossing level.
 """
 
 import math
@@ -196,26 +198,30 @@ class _Survivors:
 
     index is a pair's row (upper side) or column (lower side) position.
     out holds the least upper (greatest lower) bound computed so far per
-    index, starting from the champions' bounds; cap is the per-index cap
-    (floor) a pair's inner bracket end must pass, tightened after every
-    solve by the suffix-min over rows (prefix-max over columns) of out.
-    A pair with its index's champion's (z, m) has its bound in out
-    already. flush solves in two rounds: first, per index, the pair whose
-    KL inner end is most extreme; then only the pairs whose inner end
-    still passes the cap those bounds tightened. Pairs are batched across
-    chunks, so cp_bounds_batch calls stay few, and a batch is flushed
-    early at _CHUNK_MIN pairs, which bounds the memory it holds.
+    index; cap is the per-index cap (floor) a pair's inner bracket end
+    must pass, tightened after every solve by the suffix-min over rows
+    (prefix-max over columns) of out. champions are _bracket_levels'
+    (zm, inner) for this side; the constructor bounds the champions whose
+    inner end passes the cap, so a pair with its index's champion's (z, m)
+    has its bound in out already or fails the cap too. flush
+    solves in two rounds: first, per index, the pair whose KL inner end is
+    most extreme; then only the pairs whose inner end still passes the cap
+    those bounds tightened. Pairs are batched across chunks, so
+    cp_bounds_batch calls stay few, and a batch is flushed early at
+    _CHUNK_MIN pairs, which bounds the memory it holds.
     """
 
-    def __init__(self, delta, upper, cap, champions, bounds):
+    def __init__(self, delta, upper, cap, champions):
         self.delta = delta
         self.upper = upper
         self.cap = cap
-        self.champions = champions
-        self.out = np.array(bounds)
-        self._tighten()
+        self.champions, inner = champions
+        z, m = self.champions
+        self.out = np.full(cap.shape[0], np.inf if upper else -np.inf)
         self.pieces = []
         self.size = 0
+        at = np.flatnonzero(self.passes(inner, slice(None)))
+        self._solve(z[at], m[at], at)
 
     def passes(self, inner, index):
         """Whether inner ends can still reach the level at their index."""
@@ -251,15 +257,10 @@ class _Survivors:
         )
         if self.upper:
             np.minimum.at(self.out, index, up)
-        else:
-            np.maximum.at(self.out, index, lo)
-        self._tighten()
-
-    def _tighten(self):
-        if self.upper:
             tight = np.minimum.accumulate(self.out[::-1])[::-1]
             self.cap = np.minimum(self.cap, tight)
         else:
+            np.maximum.at(self.out, index, lo)
             self.cap = np.maximum(self.cap, np.maximum.accumulate(self.out))
 
 
@@ -281,9 +282,10 @@ def _bracket_levels(data, family, delta):
     U_lo <= upper <= U_hi at every knot with a pair on that side. A knot
     with no pair on a side gets -inf (lower) or +inf (upper).
 
-    The champions are (z, m) arrays of shape (2, rows) and (2, columns):
-    per row the upper side with the smallest upper_lo, per column the
-    lower side with the largest lower_hi, the likeliest to set a level.
+    The champions are one (zm, inner) per side: per row the upper side
+    with the smallest upper_lo, per column the lower side with the largest
+    lower_hi, the likeliest to set a level. zm holds their (z, m), of
+    shape (2, rows) and (2, columns), and inner that closed-form inner end.
     """
     n_rows = family.row_j.shape[0]
     n_cols = family.k_values.shape[0]
@@ -309,63 +311,48 @@ def _bracket_levels(data, family, delta):
     n_groups = data.n_groups
     L_lo, L_hi = (_prefix_max(v, family.k_values, n_groups) for v in colmax)
     U_lo, U_hi = (_suffix_min(v, family.row_j, n_groups) for v in rowmin)
-    return L_lo, L_hi, U_lo, U_hi, (row_zm, col_zm)
+    return L_lo, L_hi, U_lo, U_hi, ((row_zm, rowmin[0]), (col_zm, colmax[1]))
 
 
-def _champion_bounds(delta, champions):
-    """Computed bounds of the champions: upper per row, lower per column.
+def _levels(data, family, sides):
+    """Per-knot (upper, lower) levels of the bounds the sides hold so far.
 
-    One cp_bounds_batch call per side. Each caps (floors) the band's level
-    at every knot its pair covers.
+    upper is the suffix-min over rows of the upper side's out, lower the
+    prefix-max over columns of the lower side's; +inf or -inf where none.
     """
-    row_zm, col_zm = champions
-    up = cp_bounds_batch(row_zm[0], row_zm[1], delta, lower_where=False)[1]
-    lo = cp_bounds_batch(col_zm[0], col_zm[1], delta, upper_where=False)[0]
-    return up, lo
-
-
-def _exact_levels(data, family, delta, cap_u, floor_l, champions, bounds):
-    """Exact (upper, lower) levels over the pairs whose brackets pass.
-
-    cap_u and floor_l are per knot, champions and bounds come from
-    _bracket_levels and _champion_bounds. A pair's upper side is bounded
-    exactly only if the inner (low) end of its upper bracket is <= cap_u[j]
-    and the champions' computed cap at j, its lower side only if the inner
-    (high) end of its lower bracket is >= floor_l[k] and the champions'
-    floor at k; upper is the suffix-min over rows of those exact upper
-    bounds and the champions', lower the prefix-max over columns of the
-    exact lower bounds and the champions', and a knot with no pair gets
-    +inf or -inf.
-
-    One sweep, one chunk of pairs at a time: the closed-form inner end is
-    tested first, then the KL inner end (_kl_brackets) of the sides that
-    pass, and _Survivors bounds the sides that pass both, tightening the
-    caps and floors from the bounds it computes.
-    """
-    row_zm, col_zm = champions
-    uppers = _Survivors(delta, True, cap_u[family.row_j], row_zm, bounds[0])
-    lowers = _Survivors(delta, False, floor_l[family.k_values], col_zm, bounds[1])
-    for rows, cols, z, m, _ in _pair_chunks(data, family):
-        lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
-        up = np.flatnonzero(uppers.passes(upper_lo, rows))
-        z_up, m_up = z[up], m[up]
-        lo_u = _kl_brackets(
-            z_up, m_up, delta, upper_lo[up], upper_hi[up], True, outer=False
-        )[0]
-        uppers.add(z_up, m_up, rows[up], lo_u)
-        lo = np.flatnonzero(lowers.passes(lower_hi, cols))
-        z_lo, m_lo = z[lo], m[lo]
-        hi_l = _kl_brackets(
-            z_lo, m_lo, delta, lower_lo[lo], lower_hi[lo], False, outer=False
-        )[1]
-        lowers.add(z_lo, m_lo, cols[lo], hi_l)
-    uppers.flush()
-    lowers.flush()
-    n_groups = data.n_groups
+    uppers, lowers = sides
     return (
-        _suffix_min(uppers.out, family.row_j, n_groups),
-        _prefix_max(lowers.out, family.k_values, n_groups),
+        _suffix_min(uppers.out, family.row_j, data.n_groups),
+        _prefix_max(lowers.out, family.k_values, data.n_groups),
     )
+
+
+def _exact_levels(data, family, delta, sides):
+    """Exact (upper, lower) levels over the pairs that pass the sides' caps.
+
+    sides are the upper and lower _Survivors, built with the champions. A
+    pair's side is bounded exactly only if its inner bracket end passes
+    the side's cap at the pair's row (upper) or column (lower). One sweep,
+    one chunk of pairs at a time, for each side in turn: the closed-form
+    inner end is tested first, then the KL inner end (_kl_brackets) of the
+    sides that pass, and the survivors bound the sides that pass both,
+    tightening their caps from the bounds they compute. The levels are
+    _levels of all those bounds.
+    """
+    for rows, cols, z, m, _ in _pair_chunks(data, family):
+        ends = cp_brackets(z, m, delta)
+        for side, index in zip(sides, (rows, cols)):
+            lo, hi = ends[2:] if side.upper else ends[:2]
+            inner = int(not side.upper)  # the inner end's place in (lo, hi)
+            at = np.flatnonzero(side.passes((lo, hi)[inner], index))
+            z_at, m_at = z[at], m[at]
+            tight = _kl_brackets(
+                z_at, m_at, delta, lo[at], hi[at], side.upper, outer=False
+            )
+            side.add(z_at, m_at, index[at], tight[inner])
+    for side in sides:
+        side.flush()
+    return _levels(data, family, sides)
 
 
 def raw_band(data, family, alpha):
@@ -391,25 +378,31 @@ def raw_band(data, family, alpha):
     cp_brackets into per-knot levels; U_hi[j] caps upper(x_j) and L_lo[k]
     floors lower(x_k). It also picks one champion side per row and per
     column. A computed bound of any pair caps (floors) the computed level
-    at every knot the pair covers, so with X_u the suffix-min over rows
-    and X_l the prefix-max over columns of the champions' computed bounds
-    (_champion_bounds), U'[j] = min(U_hi, X_u)[j] caps upper(x_j) and
-    L'[k] = max(L_lo, X_l)[k] floors lower(x_k). The exact pass
-    (_exact_levels) bounds a pair's upper side only if the low end of its
-    refined upper bracket is <= U'[j], and its lower side only if the high
-    end of its refined lower bracket is >= L'[k]; the bounds it computes
-    tighten U' and L' in the same way as it goes. The band is the same as
-    bounding every pair: the pair attaining upper(x_i) has j >= i and a
-    bound <= upper(x_j) <= U'[j], so its bracket passes the test (likewise
-    for the lower side), because cp_bounds_batch keeps every bound inside
-    its refined bracket, which lies inside its closed-form one. A pair
-    with its row's (column's) champion's (z, m) is not bounded again: its
-    computed bound is the champion's.
+    at every knot the pair covers, so with X_u the suffix-min over rows of
+    the computed upper bounds and X_l the prefix-max over columns of the
+    computed lower bounds, U'[j] = min(U_hi, X_u)[j] caps upper(x_j) and
+    L'[k] = max(L_lo, X_l)[k] floors lower(x_k). One test decides every
+    exact bound, the champions' included: a pair's upper side is bounded
+    only if the low end of its bracket is <= U'[j], its lower side only if
+    the high end of its bracket is >= L'[k]. _Survivors bounds the
+    champions that pass first, with their closed-form ends, and the exact
+    pass (_exact_levels) then the other pairs that pass, with their
+    refined ends; each bound tightens U' and L' as it comes in. The band
+    is the same as bounding every pair: the pair attaining upper(x_i) has
+    j >= i and a bound <= upper(x_j) <= U'[j], so its bracket passes the
+    test (likewise for the lower side), because cp_bounds_batch keeps
+    every bound inside its refined bracket, which lies inside its
+    closed-form one. A pair with its row's (column's) champion's (z, m) is
+    not bounded again: its bound is the champion's, in X_u (X_l) already
+    if the champion passed, and failing the test if it did not.
     """
     delta = _delta(data, family, alpha)
     L_lo, _, _, U_hi, champions = _bracket_levels(data, family, delta)
-    bounds = _champion_bounds(delta, champions)
-    upper, lower = _exact_levels(data, family, delta, U_hi, L_lo, champions, bounds)
+    sides = (
+        _Survivors(delta, True, U_hi[family.row_j], champions[0]),
+        _Survivors(delta, False, L_lo[family.k_values], champions[1]),
+    )
+    upper, lower = _exact_levels(data, family, delta, sides)
     upper = np.where(np.isfinite(upper), upper, 1.0)
     lower = np.where(np.isfinite(lower), lower, 0.0)
     return StepBand(
@@ -424,19 +417,19 @@ def raw_band_crosses(data, family, alpha):
     fewer exact bounds. Upper levels are nondecreasing, so a crossing on
     the open piece after a knot implies one at the knot; knots suffice.
     The bracket levels decide most calls alone: L_lo > U_hi at a knot
-    proves a crossing, L_hi <= U_lo at every knot rules one out. Otherwise
-    the champions' bounds tighten these to U' = min(U_hi, X_u) and
-    L' = max(L_lo, X_l) as in raw_band, and L' > U' at a knot proves a
-    crossing. Failing that, a pair's upper side is bounded exactly only if
-    the low end of its refined upper bracket is <= min(U', L_hi)[j], and
-    its lower side only if the high end of its refined lower bracket is
-    >= max(L', U_lo)[k]. If the band crosses at x_i, the pair b attaining
-    upper(x_i) passes: its bound is upper(x_i) <= upper(x_{j_b}) <=
-    U'[j_b], and it lies below lower(x_i) <= lower(x_{j_b}) <= L_hi[j_b];
-    the pair attaining lower(x_i) passes in the mirror image, so the
-    passing pairs' levels cross at x_i too. The levels of a subset of pairs
-    are never tighter than the band's, so they cross only where the band
-    crosses.
+    proves a crossing, L_hi <= U_lo at every knot rules one out. Failing
+    that, a pair's upper side is bounded exactly only if the low end of
+    its bracket is <= min(U', L_hi)[j], and its lower side only if the
+    high end of its bracket is >= max(L', U_lo)[k], with U' and L' as in
+    raw_band; the champions pass this test first, as every other pair
+    does, and L' > U' at a knot from their bounds alone proves a crossing
+    before the exact pass. If the band crosses at x_i, the pair b
+    attaining upper(x_i) passes: its bound is upper(x_i) <= upper(x_{j_b})
+    <= U'[j_b], and it lies below lower(x_i) <= lower(x_{j_b}) <=
+    L_hi[j_b]; the pair attaining lower(x_i) passes in the mirror image,
+    so the passing pairs' levels cross at x_i too. The levels of a subset
+    of pairs are never tighter than the band's, so they cross only where
+    the band crosses.
     """
     delta = _delta(data, family, alpha)
     L_lo, L_hi, U_lo, U_hi, champions = _bracket_levels(data, family, delta)
@@ -444,15 +437,16 @@ def raw_band_crosses(data, family, alpha):
         return True
     if (L_hi <= U_lo).all():
         return False
-    bounds = _champion_bounds(delta, champions)
-    X_u = _suffix_min(bounds[0], family.row_j, data.n_groups)
-    X_l = _prefix_max(bounds[1], family.k_values, data.n_groups)
+    cap_u = np.minimum(U_hi, L_hi)[family.row_j]
+    floor_l = np.maximum(L_lo, U_lo)[family.k_values]
+    sides = (
+        _Survivors(delta, True, cap_u, champions[0]),
+        _Survivors(delta, False, floor_l, champions[1]),
+    )
+    X_u, X_l = _levels(data, family, sides)
     if (np.maximum(L_lo, X_l) > np.minimum(U_hi, X_u)).any():
         return True
-    upper, lower = _exact_levels(
-        data, family, delta, np.minimum(U_hi, L_hi), np.maximum(L_lo, U_lo),
-        champions, bounds,
-    )
+    upper, lower = _exact_levels(data, family, delta, sides)
     return bool((lower > upper).any())
 
 

@@ -242,11 +242,11 @@ def test_raw_band_kl_cascade_bounds_few_pairs_exactly(monkeypatch):
     assert 0 < asked <= 35_000
 
 
-def test_raw_band_thread_count_does_not_change_levels(monkeypatch):
+def test_raw_band_flush_size_does_not_change_levels(monkeypatch):
     # survivors of many chunks reach betaincinv in one batch per side;
     # a small _CHUNK_MIN flushes several batches per side mid-sweep, each
     # tightening the caps the next chunks are tested against, and the
-    # batch size does not change the levels
+    # flush size does not change the levels
     flushed = []
     real = bands_module._Survivors.flush
 
@@ -406,6 +406,20 @@ def test_raw_band_crosses_needs_no_exact_bound_for_a_clear_crossing(monkeypatch)
     monkeypatch.setattr(bands_module, "cp_bounds_batch", refuse)
     for fam in (full_index_family(d), rounded_index_family(d, K=100)):
         assert raw_band_crosses(d, fam, 0.05) is True
+
+
+def test_raw_band_crosses_bounds_only_champions_that_pass_the_caps(monkeypatch):
+    # the p-value's first probe on monotone data: near alpha = 1 the band
+    # is narrow but does not cross, and the brackets leave some knots
+    # open. Of the 200 champion sides only 2 reach the caps every other
+    # pair is tested against, so only those are bounded
+    calls = _record_batches(monkeypatch)
+    rng = np.random.default_rng(0)
+    x = rng.random(20000)
+    d = _data(x, rng.random(20000) < x**0.7)
+    fam = rounded_index_family(d, K=100)
+    assert raw_band_crosses(d, fam, 1.0 - 1e-6) is False
+    assert 0 < sum(asked for _, asked in calls) <= 10
 
 
 # ---------------------------------------------------------------------------
