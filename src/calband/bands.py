@@ -23,7 +23,10 @@ bounding every pair; raw_band's docstring gives the argument.
 raw_band_crosses shares both passes to decide whether the band crosses
 without building it: the bracket levels settle most alphas alone, the
 champions' bounds most of the rest, and the exact pass then needs only
-the pairs that can set a crossing level.
+the pairs that can set a crossing level. Each crossing it finds also
+names a witness, a lower and an upper champion whose bounds cross
+(_crosses); the isotonicity p-value's next probe bounds just those two
+sides at its own alpha, and needs no pass over the pairs if they cross.
 """
 
 import math
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _kl_brackets, cp_bounds_batch, cp_brackets
+from .special import _inner_ends, _kl_inner, cp_bounds_batch, cp_brackets
 
 __all__ = [
     "IndexPairFamily",
@@ -334,22 +337,18 @@ def _exact_levels(data, family, delta, sides):
     pair's side is bounded exactly only if its inner bracket end passes
     the side's cap at the pair's row (upper) or column (lower). One sweep,
     one chunk of pairs at a time, for each side in turn: the closed-form
-    inner end is tested first, then the KL inner end (_kl_brackets) of the
-    sides that pass, and the survivors bound the sides that pass both,
-    tightening their caps from the bounds they compute. The levels are
-    _levels of all those bounds.
+    inner end (_inner_ends) is tested first, then the KL inner end
+    (_kl_inner) of the sides that pass, and the survivors bound the sides
+    that pass both, tightening their caps from the bounds they compute.
+    The levels are _levels of all those bounds.
     """
     for rows, cols, z, m, _ in _pair_chunks(data, family):
-        ends = cp_brackets(z, m, delta)
-        for side, index in zip(sides, (rows, cols)):
-            lo, hi = ends[2:] if side.upper else ends[:2]
-            inner = int(not side.upper)  # the inner end's place in (lo, hi)
-            at = np.flatnonzero(side.passes((lo, hi)[inner], index))
+        lower_hi, upper_lo = _inner_ends(z, m, delta)
+        for side, index, inner in zip(sides, (rows, cols), (upper_lo, lower_hi)):
+            at = np.flatnonzero(side.passes(inner, index))
             z_at, m_at = z[at], m[at]
-            tight = _kl_brackets(
-                z_at, m_at, delta, lo[at], hi[at], side.upper, outer=False
-            )
-            side.add(z_at, m_at, index[at], tight[inner])
+            tight = _kl_inner(z_at, m_at, delta, inner[at], side.upper)
+            side.add(z_at, m_at, index[at], tight)
     for side in sides:
         side.flush()
     return _levels(data, family, sides)
@@ -414,14 +413,29 @@ def raw_band_crosses(data, family, alpha):
     """Whether raw_band(data, family, alpha) has lower > upper at some knot.
 
     The same answer as building the band and comparing its levels, from
-    fewer exact bounds. Upper levels are nondecreasing, so a crossing on
-    the open piece after a knot implies one at the knot; knots suffice.
-    The bracket levels decide most calls alone: L_lo > U_hi at a knot
-    proves a crossing, L_hi <= U_lo at every knot rules one out. Failing
-    that, a pair's upper side is bounded exactly only if the low end of
-    its bracket is <= min(U', L_hi)[j], and its lower side only if the
-    high end of its bracket is >= max(L', U_lo)[k], with U' and L' as in
-    raw_band; the champions pass this test first, as every other pair
+    fewer exact bounds: one probe of _crosses with no witness to carry.
+    """
+    return _crosses(data, family, alpha)[0]
+
+
+def _crosses(data, family, alpha, witness=None):
+    """Whether raw_band(data, family, alpha) crosses, and a witness to carry.
+
+    A witness is the (z, m) of two pair sides, lower then upper, with the
+    lower side's column at or left of the upper side's row. If the lower
+    side's computed bound exceeds the upper side's, the band crosses at
+    every knot between them, at any alpha of the same family; checking
+    that takes one cp_bounds_batch call of two pairs (_witness_crosses).
+    A given witness is checked first and answers True when it holds.
+
+    Otherwise the full decision runs. Upper levels are nondecreasing, so a
+    crossing on the open piece after a knot implies one at the knot; knots
+    suffice. The bracket levels decide most calls alone: L_lo > U_hi at a
+    knot proves a crossing, L_hi <= U_lo at every knot rules one out.
+    Failing that, a pair's upper side is bounded exactly only if the low
+    end of its bracket is <= min(U', L_hi)[j], and its lower side only if
+    the high end of its bracket is >= max(L', U_lo)[k], with U' and L' as
+    in raw_band; the champions pass this test first, as every other pair
     does, and L' > U' at a knot from their bounds alone proves a crossing
     before the exact pass. If the band crosses at x_i, the pair b
     attaining upper(x_i) passes: its bound is upper(x_i) <= upper(x_{j_b})
@@ -430,13 +444,21 @@ def raw_band_crosses(data, family, alpha):
     so the passing pairs' levels cross at x_i too. The levels of a subset
     of pairs are never tighter than the band's, so they cross only where
     the band crosses.
+
+    Returns (crosses, witness). A crossing returns a new witness from the
+    champions around the knot where the deciding levels cross the most
+    (_witness); no crossing returns the given witness, which may still
+    hold at a larger alpha. The answer never depends on the witness: one
+    that holds proves what the full decision would find.
     """
     delta = _delta(data, family, alpha)
+    if witness is not None and _witness_crosses(witness, delta):
+        return True, witness
     L_lo, L_hi, U_lo, U_hi, champions = _bracket_levels(data, family, delta)
     if (L_lo > U_hi).any():
-        return True
+        return True, _witness(family, champions, L_lo - U_hi)
     if (L_hi <= U_lo).all():
-        return False
+        return False, witness
     cap_u = np.minimum(U_hi, L_hi)[family.row_j]
     floor_l = np.maximum(L_lo, U_lo)[family.k_values]
     sides = (
@@ -444,10 +466,38 @@ def raw_band_crosses(data, family, alpha):
         _Survivors(delta, False, floor_l, champions[1]),
     )
     X_u, X_l = _levels(data, family, sides)
-    if (np.maximum(L_lo, X_l) > np.minimum(U_hi, X_u)).any():
-        return True
-    upper, lower = _exact_levels(data, family, delta, sides)
-    return bool((lower > upper).any())
+    lower, upper = np.maximum(L_lo, X_l), np.minimum(U_hi, X_u)
+    if not (lower > upper).any():
+        upper, lower = _exact_levels(data, family, delta, sides)
+        if not (lower > upper).any():
+            return False, witness
+    return True, _witness(family, champions, lower - upper)
+
+
+def _witness(family, champions, gap):
+    """The (z, m) of a lower and an upper champion around gap's largest knot.
+
+    gap is lower minus upper level per knot, positive somewhere. Of the
+    column champions at or left of that knot the one with the largest
+    inner end is taken, of the row champions at or right of it the one
+    with the smallest; both sides have a pair there, as the levels cross.
+    Nothing is bounded: the witness is checked at the next probe.
+    """
+    (row_zm, row_inner), (col_zm, col_inner) = champions
+    i = np.argmax(gap)
+    col = np.argmax(col_inner[: np.searchsorted(family.k_values, i, side="right")])
+    r0 = np.searchsorted(family.row_j, i, side="left")
+    row = r0 + np.argmin(row_inner[r0:])
+    return np.stack((col_zm[:, col], row_zm[:, row]), axis=1)
+
+
+def _witness_crosses(witness, delta):
+    """Whether the witness's lower side's bound exceeds its upper side's."""
+    z, m = witness
+    lower, upper = cp_bounds_batch(
+        z, m, delta, lower_where=[True, False], upper_where=[False, True]
+    )
+    return bool(lower[0] > upper[1])
 
 
 def noncrossing_band(raw, fit):

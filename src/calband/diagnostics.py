@@ -4,8 +4,10 @@ The verdict machinery does exact interval arithmetic on the band's step
 pieces, held as arrays, so reported regions are not grid approximations.
 The isotonicity test inverts band construction over alpha; its p-value is
 the smallest level at which the lower bound overtakes the upper somewhere,
-found by bisection on bands.raw_band_crosses, which decides crossing
-without building the band.
+found by bisection on the crossing decision of bands.raw_band_crosses,
+which never builds the band. The probes carry a crossing witness, two
+pair sides whose bounds cross, from one to the next, and most probes
+above a small p-value are answered by its two exact bounds alone.
 """
 
 import warnings
@@ -15,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 # raw_band stays importable here: perfbench/traced.py wraps it in this namespace
-from .bands import raw_band, raw_band_crosses  # noqa: F401
+from .bands import _crosses, raw_band  # noqa: F401
 from .special import chi2_survival
 
 __all__ = [
@@ -187,21 +189,32 @@ def isotonicity_pvalue(data, family):
 
     Crossing is monotone in alpha (larger alpha shrinks every pair bound
     toward the empirical rate), so bisection in alpha to 1e-4 locates the
-    infimum. Each probe asks raw_band_crosses, which decides most levels
-    from closed-form brackets and bounds exactly only the pairs that can
-    set a crossing level, instead of building the band. Returns 1.0 when
-    even alpha just below one produces no crossing, and 0.0 when the band
-    already crosses at 1e-8.
+    infimum. No probe builds the band. Each carries the witness the last
+    crossing left (bands._crosses): two pair sides whose bounds, computed
+    at the probe's alpha, prove a crossing when the lower one exceeds the
+    upper one. Only when the witness fails does the probe decide in full,
+    from closed-form brackets and exact bounds on the pairs that can set
+    a crossing level. The answers, hence the p-value, are those of
+    building the band at every probe. Returns 1.0 when even alpha just
+    below one produces no crossing, and 0.0 when the band already crosses
+    at 1e-8.
     """
+    witness = None
+
+    def crosses(alpha):
+        nonlocal witness
+        answer, witness = _crosses(data, family, alpha, witness)
+        return answer
+
     hi = _PVALUE_ALPHA_HI
-    if not raw_band_crosses(data, family, hi):
+    if not crosses(hi):
         return 1.0
     lo = _PVALUE_ALPHA_LO
-    if raw_band_crosses(data, family, lo):
+    if crosses(lo):
         return 0.0
     while hi - lo > _PVALUE_TOL:
         mid = 0.5 * (lo + hi)
-        if raw_band_crosses(data, family, mid):
+        if crosses(mid):
             hi = mid
         else:
             lo = mid

@@ -11,8 +11,9 @@ construction skip the pairs that cannot set a band level. _kl_brackets
 tightens the ends of the pairs that pass to the roots they relax: the
 Chernoff bound outside, Ash's lower bound on the binomial coefficient
 inside, a few vectorized Newton and false-position steps each, every end
-checked by one KL evaluation. Band construction tests the pairs' KL
-inner ends against caps made of exact bounds, which on a sweep
+checked by one KL evaluation. Band construction reads only the inner
+ends in its exact sweep, closed-form (_inner_ends) then KL (_kl_inner),
+and tests them against caps made of exact bounds, which on a sweep
 replication (n = 8192, K = 1000) leaves betaincinv about 1.5% of the
 pair sides. cp_bounds_batch guards the inverse with the tightened
 brackets: a bound that comes back outside its bracket, NaN included, is
@@ -131,37 +132,48 @@ def cp_brackets(z, m, delta):
     upper_lo <= cp_upper(z, m, delta) <= upper_hi. With q = z/m:
 
     - upper_hi = min(1, q + sqrt(log(1/delta)/(2m))), Hoeffding's bound.
-    - upper_lo is the larger root p of m(p-q)^2 = c p(1-p) with
-      c = log(1/delta) - log(m+1). At that p, P(Bin(m,p) = z) >=
-      exp(-m KL(q||p))/(m+1) >= exp(-c)/(m+1) = delta, by the binary
-      method-of-types bound and KL(q||p) <= (p-q)^2/(p(1-p)); so the
-      binomial CDF at z still reaches delta there.
-      When c <= 0 the root is q itself, which the median of Bin(m, q)
-      justifies for delta <= 1/2; above 1/2 the end is 0.
-    - lower_lo and lower_hi mirror these through
-      cp_lower(z, m) = 1 - cp_upper(m-z, m); lower_hi is the smaller root.
+    - upper_lo and lower_hi are the inner ends of _inner_ends.
+    - lower_lo mirrors upper_hi through cp_lower(z, m) = 1 - cp_upper(m-z, m).
 
     Every end is widened by _BRACKET_SLACK = 1e-9, so the brackets also
     hold the rounded values cp_bounds_batch returns.
     """
-    zf = np.asarray(z, dtype=np.float64)
     mf = np.asarray(m, dtype=np.float64)
-    log_inv = -math.log(delta)
-    q = zf / mf
-    h = np.sqrt(log_inv / (2.0 * mf))
+    q = np.asarray(z, dtype=np.float64) / mf
+    h = np.sqrt(-math.log(delta) / (2.0 * mf))
     upper_hi = np.minimum(q + h, 1.0) + _BRACKET_SLACK
     lower_lo = np.maximum(q - h, 0.0) - _BRACKET_SLACK
+    lower_hi, upper_lo = _inner_ends(z, m, delta)
+    return lower_lo, lower_hi, upper_lo, upper_hi
+
+
+def _inner_ends(z, m, delta):
+    """The inner ends (lower_hi, upper_lo) of cp_brackets, elementwise.
+
+    With q = z/m, upper_lo is the larger root p of m(p-q)^2 = c p(1-p)
+    with c = log(1/delta) - log(m+1). At that p, P(Bin(m,p) = z) >=
+    exp(-m KL(q||p))/(m+1) >= exp(-c)/(m+1) = delta, by the binary
+    method-of-types bound and KL(q||p) <= (p-q)^2/(p(1-p)); so the
+    binomial CDF at z still reaches delta there. When c <= 0 the root is
+    q itself, which the median of Bin(m, q) justifies for delta <= 1/2;
+    above 1/2 the end is 0. lower_hi mirrors it through cp_lower(z, m) =
+    1 - cp_upper(m-z, m): it is the smaller root, 1 above 1/2. Both ends
+    are widened by _BRACKET_SLACK.
+    """
+    zf = np.asarray(z, dtype=np.float64)
+    mf = np.asarray(m, dtype=np.float64)
     if delta > 0.5:
-        ones = np.ones_like(q)
-        return lower_lo, ones + _BRACKET_SLACK, -_BRACKET_SLACK * ones, upper_hi
-    c = np.maximum(log_inv - np.log1p(mf), 0.0)
+        ones = np.ones_like(zf)
+        return ones + _BRACKET_SLACK, -_BRACKET_SLACK * ones
+    q = zf / mf
+    c = np.maximum(-math.log(delta) - np.log1p(mf), 0.0)
     root = np.sqrt(c * (c + 4.0 * zf * (mf - zf) / mf))
     s = 2.0 * zf + c + root
     upper_lo = s / (2.0 * (mf + c)) - _BRACKET_SLACK
     # the smaller root 2z^2 / (m s), written without cancellation; the
     # floor on s only matters at z = 0, where the root is 0
     lower_hi = q * (2.0 * zf / np.maximum(s, 1.0)) + _BRACKET_SLACK
-    return lower_lo, lower_hi, upper_lo, upper_hi
+    return lower_hi, upper_lo
 
 
 def _kl(q, p):
@@ -183,7 +195,25 @@ def _kl_start(q, h, level):
     return np.minimum(q + np.sqrt(0.5 * level), -np.expm1(-(level + h) / (1.0 - q)))
 
 
-def _kl_brackets(z, m, delta, lo, hi, upper, outer=True):
+def _kl_terms(z, m, delta, upper):
+    """One side's terms for its KL ends, in the upper side's terms.
+
+    Returns (zf, mf, q, t, h, mid, exact): zu = z (m - z for the lower
+    side) and m as floats, q = zu/m, the per-trial level t = log(1/delta)/m,
+    the entropy h(q), where the KL steps apply (0 < zu < m), and the end
+    elsewhere: the exact bound 1 - delta^(1/m) at zu = 0, NaN at zu = m.
+    """
+    zu = z if upper else m - z
+    mf = m.astype(np.float64)
+    zf = zu.astype(np.float64)
+    q = zf / mf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(q * np.log(q) + (1.0 - q) * np.log1p(-q))
+    exact = np.where(zu == 0, -np.expm1(math.log(delta) / mf), np.nan)
+    return zf, mf, q, -math.log(delta) / mf, h, (zu > 0) & (zu < m), exact
+
+
+def _kl_brackets(z, m, delta, lo, hi, upper):
     """Tighten one side's cp_brackets ends (lo, hi) to the KL roots.
 
     With q = z/m and t = log(1/delta), cp_upper(z, m, delta) lies between
@@ -193,40 +223,45 @@ def _kl_brackets(z, m, delta, lo, hi, upper, outer=True):
       exp(-m KL(q || p)) for p > q, so beyond the root the CDF is < delta.
       From _kl_start, Newton steps on the convex, increasing KL stay above
       the root; they aim at t (1 + _KL_AIM) so a converged step passes.
-    - inner end, level c = t - log(8 z (1 - q)) / 2 for 0 < z < m: Ash's
-      bound C(m, z) >= exp(m H(q)) / sqrt(8 z (1 - q)) gives
-      P(Bin(m, p) = z) >= exp(-m KL(q || p) - t + c), which reaches delta
-      wherever m KL <= c. Each step is a Newton step on an outer point and
-      a false-position chord from the last inner point (q or the
-      cp_brackets end at first); a chord of a convex function lands
-      inside the root.
+    - inner end, level c: _kl_inner.
 
     At z = 0 both ends are the exact bound 1 - delta^(1/m). Each end is
     checked by one KL evaluation; one that fails, or is NaN, falls back to
     the cp_brackets end, as do all ends at z = m. upper=False refines the
-    lower side through cp_lower(z, m) = 1 - cp_upper(m - z, m).
-    outer=False leaves the outer end as given. Ends are widened by
-    _BRACKET_SLACK and returned as (lo, hi), each inside the given one.
+    lower side through cp_lower(z, m) = 1 - cp_upper(m - z, m). Ends are
+    widened by _BRACKET_SLACK and returned as (lo, hi), each inside the
+    given one.
     """
-    zu = z if upper else m - z
-    mf = m.astype(np.float64)
-    zf = zu.astype(np.float64)
-    q = zf / mf
-    # levels per trial: the roots solve KL(q || p) = level / m
-    t = -math.log(delta) / mf
-    nan = np.full(q.shape, np.nan)
-    out = nan
+    _, _, q, t, h, mid, exact = _kl_terms(z, m, delta, upper)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h = -(q * np.log(q) + (1.0 - q) * np.log1p(-q))
-        if outer:
-            level = t * (1.0 + _KL_AIM)
-            p = _kl_start(q, h, level)
-            for _ in range(_KL_STEPS):
-                p = _kl_newton(q, p, _kl(q, p), level)
-            out = np.where((p > q) & (_kl(q, p) >= t), p, nan)
+        level = t * (1.0 + _KL_AIM)
+        p = _kl_start(q, h, level)
+        for _ in range(_KL_STEPS):
+            p = _kl_newton(q, p, _kl(q, p), level)
+        out = np.where(mid & (p > q) & (_kl(q, p) >= t), p, exact)
+    if upper:
+        return _kl_inner(z, m, delta, lo, True), np.fmin(hi, out + _BRACKET_SLACK)
+    return np.fmax(lo, (1.0 - out) - _BRACKET_SLACK), _kl_inner(z, m, delta, hi, False)
+
+
+def _kl_inner(z, m, delta, inner, upper):
+    """Tighten one side's cp_brackets inner end to its KL root.
+
+    inner is upper_lo (upper=True) or lower_hi (upper=False). In the upper
+    side's terms the level is c = t - log(8 z (1 - q)) / 2 for 0 < z < m:
+    Ash's bound C(m, z) >= exp(m H(q)) / sqrt(8 z (1 - q)) gives
+    P(Bin(m, p) = z) >= exp(-m KL(q || p) - t + c), which reaches delta
+    wherever m KL <= c. Each step is a Newton step on an outer point and a
+    false-position chord from the last inner point (q or the cp_brackets
+    end at first); a chord of a convex function lands inside the root. The
+    end is checked by one KL evaluation and falls back as in _kl_brackets;
+    it is widened by _BRACKET_SLACK and returned inside the given one.
+    """
+    zf, mf, q, t, h, mid, exact = _kl_terms(z, m, delta, upper)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = t - 0.5 * np.log(8.0 * zf * (1.0 - q)) / mf
         level = c * (1.0 - _KL_AIM)
-        a = np.maximum(q, lo if upper else 1.0 - hi)
+        a = np.maximum(q, inner if upper else 1.0 - inner)
         ka = _kl(q, a)
         b = _kl_start(q, h, level)
         kb = _kl(q, b)
@@ -237,17 +272,10 @@ def _kl_brackets(z, m, delta, lo, hi, upper, outer=True):
             # the two points meet when both have converged (0/0)
             a = np.where(den > 0.0, a - (ka - level) * (b - a) / den, a)
             ka = _kl(q, a)
-        inn = np.where(ka <= c, a, nan)
-    mid = (zu > 0) & (zu < m)
-    exact = np.where(zu == 0, -np.expm1(math.log(delta) / mf), nan)
-    out = np.where(mid, out, exact)
-    inn = np.where(mid, inn, exact)
+        inn = np.where(mid & (ka <= c), a, exact)
     if upper:
-        return np.fmax(lo, inn - _BRACKET_SLACK), np.fmin(hi, out + _BRACKET_SLACK)
-    return (
-        np.fmax(lo, (1.0 - out) - _BRACKET_SLACK),
-        np.fmin(hi, (1.0 - inn) + _BRACKET_SLACK),
-    )
+        return np.fmax(inner, inn - _BRACKET_SLACK)
+    return np.fmin(inner, (1.0 - inn) + _BRACKET_SLACK)
 
 
 def _bisect_betainc(a, b, p, lo, hi):

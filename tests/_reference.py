@@ -304,6 +304,23 @@ def random_sorted_data(rng, n):
     return build_sorted_data(np.column_stack((x, y)))
 
 
+def dip_data(rng, n):
+    """n uniform covariates with outcomes from a truth that dips in the middle.
+
+    The truth is p = 0.5 - 1.4 u + 8 u^3, u = x - 0.5, clipped to [0, 1]:
+    it rises, falls through the middle of [0, 1] and rises again. Outcomes
+    come by systematic sampling along sorted x, so the running count of
+    ones stays within one of the running sum of p and the dip shows at
+    small n.
+    """
+    x = np.sort(rng.random(n))
+    u = x - 0.5
+    p = np.clip(0.5 - 1.4 * u + 8.0 * u**3, 0.0, 1.0)
+    counts = np.floor(np.cumsum(p) + rng.random())
+    y = np.diff(counts, prepend=0.0)
+    return build_sorted_data(np.column_stack((x, y)))
+
+
 def dump_document(doc, fh):
     """`calband band` JSON as json.dump writes it: indent 2, then a newline."""
     json.dump(doc, fh, indent=2)

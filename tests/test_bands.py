@@ -8,6 +8,7 @@ import pytest
 
 from _reference import (
     band_crosses,
+    dip_data,
     family_pairs,
     naive_raw_band,
     naive_yb_band,
@@ -420,6 +421,41 @@ def test_raw_band_crosses_bounds_only_champions_that_pass_the_caps(monkeypatch):
     fam = rounded_index_family(d, K=100)
     assert raw_band_crosses(d, fam, 1.0 - 1e-6) is False
     assert 0 < sum(asked for _, asked in calls) <= 10
+
+
+def test_a_witness_that_holds_proves_the_band_crosses():
+    # witnesses made at one alpha are checked at every alpha of the grid,
+    # below and above their own and 1e-4 either side of the p-value;
+    # whenever one holds, the band bounded pair by pair crosses there too.
+    # Truths mid + amp * sin(3 pi x), a falling line and the dip cross
+    # from middling alphas on
+    rng = np.random.default_rng(151)
+    cases = []
+    for n, mid, amp in ((60, 0.5, 0.45), (120, 0.5, 0.4), (200, 0.5, 0.3)):
+        x = rng.random(n)
+        cases.append(_data(x, rng.random(n) < mid + amp * np.sin(3 * np.pi * x)))
+    x = rng.random(80)
+    cases += [_data(x, rng.random(80) < 0.9 - 0.8 * x), dip_data(rng, 400)]
+    held = failed = 0
+    for d in cases:
+        families = [rounded_index_family(d, K=20)]
+        if d.n_groups <= 200:
+            families.append(full_index_family(d))
+        for fam in families:
+            p = isotonicity_pvalue(d, fam)
+            grid = [1e-8, 1e-4, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0 - 1e-6]
+            grid += [p - 1e-4, p + 1e-4] if 2e-4 < p < 0.9 else []
+            probes = [bands_module._crosses(d, fam, alpha) for alpha in grid]
+            witnesses = [w for crosses, w in probes if crosses]
+            for alpha in grid:
+                crosses = band_crosses(naive_raw_band(d, fam, alpha))
+                for w in witnesses:
+                    if bands_module._witness_crosses(w, alpha / fam.correction):
+                        assert crosses, (fam.correction, alpha)
+                        held += 1
+                    else:
+                        failed += 1
+    assert held > 50 and failed > 50
 
 
 # ---------------------------------------------------------------------------

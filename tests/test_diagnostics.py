@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import calband.bands as bands_module
 import calband.diagnostics
 from _reference import (
     crossing_regions_loop,
+    dip_data,
     isotonicity_pvalue_by_rebuilds,
     miscalibrated_regions_loop,
     random_sorted_data,
@@ -190,6 +192,10 @@ def test_pvalue_matches_bisection_by_band_rebuilds():
     ]
     rng = np.random.default_rng(149)
     datasets += [random_sorted_data(rng, int(rng.integers(5, 80))) for _ in range(6)]
+    # the dip at n = 512: with K = 20 the p-value is about 3.4e-4 and the
+    # crossing witness answers most probes; with the full family it is
+    # about 0.24, where the probes alternate and the witness mostly fails
+    datasets.append(dip_data(np.random.default_rng(3), 512))
     pvalues = set()
     for d in datasets:
         for fam in (full_index_family(d), rounded_index_family(d, 20)):
@@ -197,6 +203,31 @@ def test_pvalue_matches_bisection_by_band_rebuilds():
             assert p == isotonicity_pvalue_by_rebuilds(d, fam)
             pvalues.add(0.0 if p == 0.0 else 1.0 if p == 1.0 else 0.5)
     assert pvalues == {0.0, 0.5, 1.0}
+
+
+def test_pvalue_probes_carry_a_crossing_witness(monkeypatch):
+    # every midpoint above a small p-value crosses, and the witness the
+    # last crossing left answers such a probe from two exact bounds; a
+    # failed witness falls back to the full decision. Deciding every
+    # probe in full takes 16 bracket passes here
+    passes, checks = [], []
+    levels, check = bands_module._bracket_levels, bands_module._witness_crosses
+
+    def spy_levels(*args):
+        passes.append(args[2])
+        return levels(*args)
+
+    def spy_check(*args):
+        checks.append(check(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(bands_module, "_bracket_levels", spy_levels)
+    monkeypatch.setattr(bands_module, "_witness_crosses", spy_check)
+    d = dip_data(np.random.default_rng(3), 512)
+    p = isotonicity_pvalue(d, rounded_index_family(d, 20))
+    assert 1e-4 < p < 1e-3
+    assert len(passes) <= 8
+    assert True in checks and False in checks
 
 
 def test_gamma_closed_form_two_blocks():

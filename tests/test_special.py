@@ -15,7 +15,9 @@ from _reference import (
 )
 from calband.special import (
     DELTA_FLOOR,
+    _inner_ends,
     _kl_brackets,
+    _kl_inner,
     chi2_survival,
     cp_bounds_batch,
     cp_brackets,
@@ -326,11 +328,10 @@ def test_kl_brackets_are_tighter_where_bands_prune():
     lo_lo, lo_hi = _kl_brackets(z, m, 1e-7, lower_lo, lower_hi, False)
     assert (up_hi - up_lo < 0.5 * (upper_hi - upper_lo)).all()
     assert (lo_hi - lo_lo < 0.5 * (lower_hi - lower_lo)).all()
-    # the inner end alone leaves the outer end as given
-    only_in = _kl_brackets(z, m, 1e-7, upper_lo, upper_hi, True, outer=False)
-    np.testing.assert_array_equal(only_in, (up_lo, upper_hi))
-    only_in = _kl_brackets(z, m, 1e-7, lower_lo, lower_hi, False, outer=False)
-    np.testing.assert_array_equal(only_in, (lower_lo, lo_hi))
+    # the inner ends alone, closed-form and KL, are the ones of the brackets
+    np.testing.assert_array_equal(_inner_ends(z, m, 1e-7), (lower_hi, upper_lo))
+    np.testing.assert_array_equal(_kl_inner(z, m, 1e-7, upper_lo, True), up_lo)
+    np.testing.assert_array_equal(_kl_inner(z, m, 1e-7, lower_hi, False), lo_hi)
 
 
 @pytest.mark.parametrize(
