@@ -7,25 +7,25 @@ variant of that family, and the wider Hoeffding-style band around
 isotonic block averages.
 
 The raw band needs, per knot, one extreme over the family's pair bounds.
-The bracket pass (_bracket_levels) sweeps closed-form brackets around
-each bound into per-knot bracket levels, and picks per row and per
+The bracket pass (_bracket_levels) sweeps the closed-form inner ends of
+each bound's bracket into per-knot levels and picks per row and per
 column a champion side, the likeliest to set a level. _Survivors owns
-every exact bound: it bounds a champion, as any other pair, only if the
-champion's inner bracket end reaches its cap, and each bound it computes
-tightens the caps far closer than the brackets do. It bounds the
-champions first; the exact pass (_exact_levels) then sweeps once more,
-tightens the inner ends of the sides that pass the caps to the KL roots,
-and hands _Survivors the sides whose tight inner end still reaches a
-cap. Per-knot values come from monotone suffix/prefix sweeps, so the
-full family costs O(|family|) brackets and at most that many exact
-bounds instead of O(N * |family|). The result is bit-identical to
+every exact bound: it bounds a pair only if the pair's inner end
+reaches its cap, and each bound it computes tightens the caps. It bounds
+the champions first; raw_band's caps start infinite, so their bounds
+set the first caps. The exact pass (_exact_levels) then sweeps once
+more, tightens the inner ends of the sides that pass the caps to the KL
+roots, and hands _Survivors the sides whose tight inner end still
+reaches a cap. Per-knot values come from monotone suffix/prefix sweeps,
+so the full family costs O(|family|) inner ends and at most that many
+exact bounds instead of O(N * |family|). The result is bit-identical to
 bounding every pair; raw_band's docstring gives the argument.
-raw_band_crosses shares both passes to decide whether the band crosses
-without building it: the bracket levels settle most alphas alone, the
-champions' bounds most of the rest, and the exact pass then needs only
-the pairs that can set a crossing level. Each crossing it finds also
-names a witness, a lower and an upper champion whose bounds cross
-(_crosses); the isotonicity p-value's next probe bounds just those two
+_crosses shares both passes to decide whether the band crosses without
+building it: the inner bracket levels rule a crossing out at most
+alphas, the champions' bounds prove most of the rest, and the exact pass
+then needs only the pairs that can set a crossing level. Each crossing
+it finds also names a witness, a lower and an upper champion whose
+bounds cross; the isotonicity p-value's next probe bounds just those two
 sides at its own alpha, and needs no pass over the pairs if they cross.
 """
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _inner_ends, _kl_inner, cp_bounds_batch, cp_brackets
+from .special import _inner_ends, _kl_inner, cp_bounds_batch
 
 __all__ = [
     "IndexPairFamily",
@@ -42,7 +42,6 @@ __all__ = [
     "full_index_family",
     "rounded_index_family",
     "raw_band",
-    "raw_band_crosses",
     "noncrossing_band",
     "yb_band",
     "evaluate_band",
@@ -277,13 +276,13 @@ def _delta(data, family, alpha):
 
 
 def _bracket_levels(data, family, delta):
-    """Per-knot brackets (L_lo, L_hi, U_lo, U_hi) and the champion sides.
+    """Per-knot inner bracket levels (L_hi, U_lo) and the champion sides.
 
-    L_lo and L_hi are prefix-maxima over columns k' <= k of the lower
-    brackets' two ends, U_lo and U_hi suffix-minima over rows j' >= j of
-    the upper brackets' two ends; so L_lo <= lower <= L_hi and
-    U_lo <= upper <= U_hi at every knot with a pair on that side. A knot
-    with no pair on a side gets -inf (lower) or +inf (upper).
+    L_hi is the prefix-max over columns k' <= k of the lower brackets'
+    high ends, U_lo the suffix-min over rows j' >= j of the upper
+    brackets' low ends; so lower <= L_hi and U_lo <= upper at every knot
+    with a pair on that side. A knot with no pair on a side gets -inf
+    (lower) or +inf (upper).
 
     The champions are one (zm, inner) per side: per row the upper side
     with the smallest upper_lo, per column the lower side with the largest
@@ -292,29 +291,25 @@ def _bracket_levels(data, family, delta):
     """
     n_rows = family.row_j.shape[0]
     n_cols = family.k_values.shape[0]
-    rowmin = np.full((2, n_rows), np.inf)
-    colmax = np.full((2, n_cols), -np.inf)
+    rowmin = np.full(n_rows, np.inf)
+    colmax = np.full(n_cols, -np.inf)
     row_zm = np.empty((2, n_rows), dtype=np.int64)
     col_zm = np.empty((2, n_cols), dtype=np.int64)
     for rows, cols, z, m, starts in _pair_chunks(data, family):
-        lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
-        r = rows[starts]
-        rowmin[0, r] = np.minimum.reduceat(upper_lo, starts)
-        rowmin[1, r] = np.minimum.reduceat(upper_hi, starts)
-        np.maximum.at(colmax[0], cols, lower_lo)
-        np.maximum.at(colmax[1], cols, lower_hi)
+        lower_hi, upper_lo = _inner_ends(z, m, delta)
+        rowmin[rows[starts]] = np.minimum.reduceat(upper_lo, starts)
+        np.maximum.at(colmax, cols, lower_hi)
         # one hit per row and per column; a column's running max is only
         # hit in the chunks that raise or tie it
         for zm, index, hit in (
-            (row_zm, rows, np.flatnonzero(upper_lo == rowmin[0, rows])),
-            (col_zm, cols, np.flatnonzero(lower_hi == colmax[1, cols])),
+            (row_zm, rows, np.flatnonzero(upper_lo == rowmin[rows])),
+            (col_zm, cols, np.flatnonzero(lower_hi == colmax[cols])),
         ):
             at, i = np.unique(index[hit], return_index=True)
             zm[:, at] = z[hit[i]], m[hit[i]]
-    n_groups = data.n_groups
-    L_lo, L_hi = (_prefix_max(v, family.k_values, n_groups) for v in colmax)
-    U_lo, U_hi = (_suffix_min(v, family.row_j, n_groups) for v in rowmin)
-    return L_lo, L_hi, U_lo, U_hi, ((row_zm, rowmin[0]), (col_zm, colmax[1]))
+    L_hi = _prefix_max(colmax, family.k_values, data.n_groups)
+    U_lo = _suffix_min(rowmin, family.row_j, data.n_groups)
+    return L_hi, U_lo, ((row_zm, rowmin), (col_zm, colmax))
 
 
 def _levels(data, family, sides):
@@ -373,33 +368,32 @@ def raw_band(data, family, alpha):
         lower(x_i) = max over pairs with k <= i of the pair's lower bound,
         with empty min = 1 and empty max = 0.
 
-    The bracket pass (_bracket_levels) sweeps the closed-form brackets of
-    cp_brackets into per-knot levels; U_hi[j] caps upper(x_j) and L_lo[k]
-    floors lower(x_k). It also picks one champion side per row and per
-    column. A computed bound of any pair caps (floors) the computed level
-    at every knot the pair covers, so with X_u the suffix-min over rows of
-    the computed upper bounds and X_l the prefix-max over columns of the
-    computed lower bounds, U'[j] = min(U_hi, X_u)[j] caps upper(x_j) and
-    L'[k] = max(L_lo, X_l)[k] floors lower(x_k). One test decides every
-    exact bound, the champions' included: a pair's upper side is bounded
-    only if the low end of its bracket is <= U'[j], its lower side only if
-    the high end of its bracket is >= L'[k]. _Survivors bounds the
-    champions that pass first, with their closed-form ends, and the exact
-    pass (_exact_levels) then the other pairs that pass, with their
-    refined ends; each bound tightens U' and L' as it comes in. The band
-    is the same as bounding every pair: the pair attaining upper(x_i) has
-    j >= i and a bound <= upper(x_j) <= U'[j], so its bracket passes the
-    test (likewise for the lower side), because cp_bounds_batch keeps
-    every bound inside its refined bracket, which lies inside its
-    closed-form one. A pair with its row's (column's) champion's (z, m) is
-    not bounded again: its bound is the champion's, in X_u (X_l) already
-    if the champion passed, and failing the test if it did not.
+    The bracket pass (_bracket_levels) picks one champion side per row and
+    per column from the closed-form inner ends of the pairs' brackets
+    (_inner_ends). A computed bound of any pair caps (floors) the computed
+    level at every knot the pair covers, so with X_u the suffix-min over
+    rows of the computed upper bounds and X_l the prefix-max over columns
+    of the computed lower bounds, X_u[j] caps upper(x_j) and X_l[k] floors
+    lower(x_k); before any bound X_u is +inf and X_l is -inf. One test
+    decides every exact bound, the champions' included: a pair's upper
+    side is bounded only if the low end of its bracket is <= X_u[j], its
+    lower side only if the high end of its bracket is >= X_l[k].
+    _Survivors bounds the champions first, which all pass the infinite
+    caps, and the exact pass (_exact_levels) then the other pairs that
+    pass, with their KL-refined ends; each bound tightens X_u and X_l as
+    it comes in. The band is the same as bounding every pair: the pair
+    attaining upper(x_i) has j >= i and a bound <= upper(x_j) <= X_u[j],
+    so its bracket passes the test (likewise for the lower side), because
+    cp_bounds_batch keeps every bound inside its refined bracket, which
+    lies inside its closed-form one. A pair with its row's (column's)
+    champion's (z, m) is not bounded again: its bound is the champion's,
+    in X_u (X_l) already.
     """
     delta = _delta(data, family, alpha)
-    L_lo, _, _, U_hi, champions = _bracket_levels(data, family, delta)
+    row_champs, col_champs = _bracket_levels(data, family, delta)[2]
     sides = (
-        _Survivors(delta, True, U_hi[family.row_j], champions[0]),
-        _Survivors(delta, False, L_lo[family.k_values], champions[1]),
+        _Survivors(delta, True, np.full_like(row_champs[1], np.inf), row_champs),
+        _Survivors(delta, False, np.full_like(col_champs[1], -np.inf), col_champs),
     )
     upper, lower = _exact_levels(data, family, delta, sides)
     upper = np.where(np.isfinite(upper), upper, 1.0)
@@ -407,15 +401,6 @@ def raw_band(data, family, alpha):
     return StepBand(
         knots=data.distinct_x.copy(), lower_levels=lower, upper_levels=upper
     )
-
-
-def raw_band_crosses(data, family, alpha):
-    """Whether raw_band(data, family, alpha) has lower > upper at some knot.
-
-    The same answer as building the band and comparing its levels, from
-    fewer exact bounds: one probe of _crosses with no witness to carry.
-    """
-    return _crosses(data, family, alpha)[0]
 
 
 def _crosses(data, family, alpha, witness=None):
@@ -430,20 +415,19 @@ def _crosses(data, family, alpha, witness=None):
 
     Otherwise the full decision runs. Upper levels are nondecreasing, so a
     crossing on the open piece after a knot implies one at the knot; knots
-    suffice. The bracket levels decide most calls alone: L_lo > U_hi at a
-    knot proves a crossing, L_hi <= U_lo at every knot rules one out.
-    Failing that, a pair's upper side is bounded exactly only if the low
-    end of its bracket is <= min(U', L_hi)[j], and its lower side only if
-    the high end of its bracket is >= max(L', U_lo)[k], with U' and L' as
-    in raw_band; the champions pass this test first, as every other pair
-    does, and L' > U' at a knot from their bounds alone proves a crossing
-    before the exact pass. If the band crosses at x_i, the pair b
-    attaining upper(x_i) passes: its bound is upper(x_i) <= upper(x_{j_b})
-    <= U'[j_b], and it lies below lower(x_i) <= lower(x_{j_b}) <=
-    L_hi[j_b]; the pair attaining lower(x_i) passes in the mirror image,
-    so the passing pairs' levels cross at x_i too. The levels of a subset
-    of pairs are never tighter than the band's, so they cross only where
-    the band crosses.
+    suffice. The bracket levels rule a crossing out when L_hi <= U_lo at
+    every knot. Failing that, a pair's upper side is bounded exactly only
+    if the low end of its bracket is <= min(X_u, L_hi)[j], and its lower
+    side only if the high end of its bracket is >= max(X_l, U_lo)[k], with
+    X_u and X_l as in raw_band; the champions pass this test first, as
+    every other pair does, and X_l > X_u at a knot from their bounds alone
+    proves a crossing before the exact pass. If the band crosses at x_i,
+    the pair b attaining upper(x_i) passes: its bound is upper(x_i) <=
+    upper(x_{j_b}) <= X_u[j_b], and it lies below lower(x_i) <=
+    lower(x_{j_b}) <= L_hi[j_b]; the pair attaining lower(x_i) passes in
+    the mirror image, so the passing pairs' levels cross at x_i too. The
+    levels of a subset of pairs are never tighter than the band's, so they
+    cross only where the band crosses.
 
     Returns (crosses, witness). A crossing returns a new witness from the
     champions around the knot where the deciding levels cross the most
@@ -454,19 +438,14 @@ def _crosses(data, family, alpha, witness=None):
     delta = _delta(data, family, alpha)
     if witness is not None and _witness_crosses(witness, delta):
         return True, witness
-    L_lo, L_hi, U_lo, U_hi, champions = _bracket_levels(data, family, delta)
-    if (L_lo > U_hi).any():
-        return True, _witness(family, champions, L_lo - U_hi)
+    L_hi, U_lo, champions = _bracket_levels(data, family, delta)
     if (L_hi <= U_lo).all():
         return False, witness
-    cap_u = np.minimum(U_hi, L_hi)[family.row_j]
-    floor_l = np.maximum(L_lo, U_lo)[family.k_values]
     sides = (
-        _Survivors(delta, True, cap_u, champions[0]),
-        _Survivors(delta, False, floor_l, champions[1]),
+        _Survivors(delta, True, L_hi[family.row_j], champions[0]),
+        _Survivors(delta, False, U_lo[family.k_values], champions[1]),
     )
-    X_u, X_l = _levels(data, family, sides)
-    lower, upper = np.maximum(L_lo, X_l), np.minimum(U_hi, X_u)
+    upper, lower = _levels(data, family, sides)
     if not (lower > upper).any():
         upper, lower = _exact_levels(data, family, delta, sides)
         if not (lower > upper).any():

@@ -26,7 +26,12 @@ from .bands import (
     rounded_index_family,
     yb_band,
 )
-from .diagnostics import calibration_verdict, hosmer_lemeshow, isotonicity_report
+from .diagnostics import (
+    _PVALUE_ALPHA_LO,
+    calibration_verdict,
+    hosmer_lemeshow,
+    isotonicity_report,
+)
 from .isotonic import build_sorted_data, pava
 from .simulation import (
     _DEFAULTS,
@@ -282,6 +287,8 @@ def _parse_zoom(text):
         a, b = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"--zoom expects two numbers, got {text!r}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise UsageError(f"--zoom expects two finite numbers, got {text!r}")
     if not a < b:
         raise UsageError(f"--zoom window ({a}, {b}) is empty")
     return a, b
@@ -444,9 +451,12 @@ def _cmd_band(args):
 
     report = isotonicity_report(data, fam, rawb, args.alpha)
     if report.crossing_regions:
+        # a p-value of 0 means the band crosses at the bisection's floor
+        p = report.p_value
+        p_text = f"p < {_PVALUE_ALPHA_LO:.4g}" if p == 0.0 else f"p = {p:.4g}"
         print(
             f"calband: warning: raw band crosses itself at alpha={args.alpha}; "
-            f"the data contradict isotonicity (p = {report.p_value:.4g})",
+            f"the data contradict isotonicity ({p_text})",
             file=sys.stderr,
         )
 

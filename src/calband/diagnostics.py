@@ -4,8 +4,8 @@ The verdict machinery does exact interval arithmetic on the band's step
 pieces, held as arrays, so reported regions are not grid approximations.
 The isotonicity test inverts band construction over alpha; its p-value is
 the smallest level at which the lower bound overtakes the upper somewhere,
-found by bisection on the crossing decision of bands.raw_band_crosses,
-which never builds the band. The probes carry a crossing witness, two
+found by bisection on the crossing decision of bands._crosses, which
+never builds the band. The probes carry a crossing witness, two
 pair sides whose bounds cross, from one to the next, and most probes
 above a small p-value are answered by its two exact bounds alone.
 """
@@ -192,12 +192,12 @@ def isotonicity_pvalue(data, family):
     infimum. No probe builds the band. Each carries the witness the last
     crossing left (bands._crosses): two pair sides whose bounds, computed
     at the probe's alpha, prove a crossing when the lower one exceeds the
-    upper one. Only when the witness fails does the probe decide in full,
-    from closed-form brackets and exact bounds on the pairs that can set
-    a crossing level. The answers, hence the p-value, are those of
-    building the band at every probe. Returns 1.0 when even alpha just
-    below one produces no crossing, and 0.0 when the band already crosses
-    at 1e-8.
+    upper one. Only when the witness fails does the probe decide in full:
+    closed-form inner brackets rule a crossing out, and exact bounds on
+    the pairs that can set a crossing level decide the rest. The answers,
+    hence the p-value, are those of building the band at every probe.
+    Returns 1.0 when even alpha just below one produces no crossing, and
+    0.0 when the band already crosses at 1e-8.
     """
     witness = None
 

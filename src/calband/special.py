@@ -6,19 +6,19 @@ inverse; the scalar cp_lower and cp_upper call it for one side, so the
 two APIs agree bit for bit.
 
 cp_brackets puts each bound inside a closed-form bracket (Hoeffding on
-one side, the binary method-of-types bound on the other), which lets band
-construction skip the pairs that cannot set a band level. _kl_brackets
-tightens the ends of the pairs that pass to the roots they relax: the
-Chernoff bound outside, Ash's lower bound on the binomial coefficient
-inside, a few vectorized Newton and false-position steps each, every end
-checked by one KL evaluation. Band construction reads only the inner
-ends in its exact sweep, closed-form (_inner_ends) then KL (_kl_inner),
-and tests them against caps made of exact bounds, which on a sweep
-replication (n = 8192, K = 1000) leaves betaincinv about 1.5% of the
-pair sides. cp_bounds_batch guards the inverse with the tightened
-brackets: a bound that comes back outside its bracket, NaN included, is
-solved again by bisection on the incomplete beta function, so every
-returned bound lies inside its bracket.
+one side, the binary method-of-types bound on the other), the fallback
+of cp_bounds_batch's guard. _kl_brackets tightens both ends to the roots
+they relax: the Chernoff bound outside, Ash's lower bound on the
+binomial coefficient inside, a few vectorized Newton and false-position
+steps each, every end checked by one KL evaluation. Band construction
+reads only the inner ends, closed-form (_inner_ends) in both of its
+passes and KL (_kl_inner) in the exact one, and tests them against caps
+made of exact bounds, which on a sweep replication (n = 8192, K = 1000)
+leaves betaincinv about 1.5% of the pair sides. cp_bounds_batch guards
+the inverse with the tightened brackets: a bound that comes back outside
+its bracket, NaN included, is solved again by bisection on the
+incomplete beta function, so every returned bound lies inside its
+bracket.
 
 chi2_survival, the tail the Hosmer-Lemeshow baseline is referred to, is
 written against the math module only, so the p-values calband prints do

@@ -7,6 +7,8 @@ continuity fuss at the knots; vertical jumps fall out of consecutive
 horizontal runs sharing an x coordinate.
 """
 
+from html import escape
+
 import numpy as np
 
 from .bands import evaluate_band
@@ -48,7 +50,7 @@ def render_band_svg(band, fit_levels, regions=(), zoom=(0.0, 1.0), title=""):
 
     fit_levels holds the fitted value at each knot; zoom = (a, b) restricts
     both axes to [a, b]; regions are x-intervals to overpaint in red on the
-    diagonal.
+    diagonal; title is plain text, escaped here.
     """
     a, b = float(zoom[0]), float(zoom[1])
     if not a < b:
@@ -173,7 +175,7 @@ def render_band_svg(band, fit_levels, regions=(), zoom=(0.0, 1.0), title=""):
     if title:
         out.append(
             f'<text x="{_W / 2:.2f}" y="28" font-size="16" '
-            f'text-anchor="middle">{title}</text>'
+            f'text-anchor="middle">{escape(title, quote=False)}</text>'
         )
 
     lx, ly = _ML + 12, _MT + 12

@@ -22,7 +22,6 @@ from calband.bands import (
     full_index_family,
     noncrossing_band,
     raw_band,
-    raw_band_crosses,
     rounded_index_family,
     yb_band,
 )
@@ -298,7 +297,7 @@ def test_raw_band_and_crossing_match_naive_on_edge_families():
                 got = raw_band(d, fam, alpha)
                 np.testing.assert_array_equal(got.lower_levels, want.lower_levels)
                 np.testing.assert_array_equal(got.upper_levels, want.upper_levels)
-                assert raw_band_crosses(d, fam, alpha) is band_crosses(want)
+                assert bands_module._crosses(d, fam, alpha)[0] is band_crosses(want)
     assert one_pair_rows > 0
 
 
@@ -325,7 +324,7 @@ def test_raw_band_validates_inputs():
     d = _data([0.2, 0.4], [0, 1])
     fam = full_index_family(d)
     other = _data([0.1, 0.2, 0.3], [0, 1, 1])
-    for build in (raw_band, raw_band_crosses):
+    for build in (raw_band, bands_module._crosses):
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="outside"):
                 build(d, fam, alpha=bad)
@@ -390,23 +389,30 @@ def test_raw_band_crosses_matches_the_band(monkeypatch):
             for alpha in [1e-8, 3e-5, 0.05, 0.5, 1.0 - 1e-6] + near:
                 want = band_crosses(raw_band(d, fam, alpha))
                 del calls[:]
-                got = raw_band_crosses(d, fam, alpha)
+                got = bands_module._crosses(d, fam, alpha)[0]
                 assert got is want, (fam.correction, alpha)
                 outcomes.add((want, bool(calls)))
     assert rounded_index_family(cases[0], K=1).pair_count == 1
-    # both answers, each from the brackets alone and from exact bounds
-    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+    # no crossing comes both from the brackets alone and from exact
+    # bounds; a crossing always takes exact bounds, the champions' at least
+    assert outcomes == {(False, False), (False, True), (True, True)}
 
 
 def test_raw_band_crosses_needs_no_exact_bound_for_a_clear_crossing(monkeypatch):
+    # a clear crossing is decided from the champions' bounds alone: the
+    # exact pass never runs, and one side per row and per column is bounded
     def refuse(*args, **kwargs):
-        raise AssertionError("exact bound asked for")
+        raise AssertionError("exact pass run")
 
+    calls = _record_batches(monkeypatch)
     x = [0.25] * 200 + [0.75] * 200
     d = _data(x, [1] * 200 + [0] * 200)
-    monkeypatch.setattr(bands_module, "cp_bounds_batch", refuse)
+    monkeypatch.setattr(bands_module, "_exact_levels", refuse)
     for fam in (full_index_family(d), rounded_index_family(d, K=100)):
-        assert raw_band_crosses(d, fam, 0.05) is True
+        del calls[:]
+        assert bands_module._crosses(d, fam, 0.05)[0] is True
+        sides = sum(asked for _, asked in calls)
+        assert sides == fam.row_j.shape[0] + fam.k_values.shape[0]
 
 
 def test_raw_band_crosses_bounds_only_champions_that_pass_the_caps(monkeypatch):
@@ -419,7 +425,7 @@ def test_raw_band_crosses_bounds_only_champions_that_pass_the_caps(monkeypatch):
     x = rng.random(20000)
     d = _data(x, rng.random(20000) < x**0.7)
     fam = rounded_index_family(d, K=100)
-    assert raw_band_crosses(d, fam, 1.0 - 1e-6) is False
+    assert bands_module._crosses(d, fam, 1.0 - 1e-6)[0] is False
     assert 0 < sum(asked for _, asked in calls) <= 10
 
 

@@ -8,6 +8,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -84,6 +85,17 @@ def test_band_svg_golden(monkeypatch, capsys, tmp_path):
     )
     assert code == 0
     assert plot.read_text() == (DATA / "golden_small.svg").read_text()
+
+
+def test_band_svg_escapes_the_title(capsys, tmp_path):
+    # the title is the input's file name, which may hold XML markup
+    name = "a&b<c>.csv"
+    shutil.copy(DATA / "demo_small.csv", tmp_path / name)
+    plot = tmp_path / "plot.svg"
+    code, _, _ = _run(capsys, ["band", str(tmp_path / name), "--plot", str(plot)])
+    assert code == 0
+    texts = minidom.parse(str(plot)).getElementsByTagName("text")
+    assert name in [t.firstChild.data for t in texts]
 
 
 def test_band_json_file_matches_stdout(monkeypatch, capsys, tmp_path):
@@ -394,6 +406,8 @@ def test_band_usage_errors(capsys, tmp_path):
         ["band", demo, "--zoom", "0.5"],
         ["band", demo, "--zoom", "0.7,0.2"],
         ["band", demo, "--zoom", "a,b"],
+        ["band", demo, "--zoom", "0,inf"],
+        ["band", demo, "--zoom", "nan,1"],
         ["band", demo, "--method", "bootstrap"],
         ["band"],
         [],
@@ -402,6 +416,17 @@ def test_band_usage_errors(capsys, tmp_path):
         code, _, err = _run(capsys, argv)
         assert code == 1, argv
         assert "error" in err
+
+
+def test_band_warns_of_a_censored_pvalue(capsys, tmp_path):
+    # the band crosses already at the bisection's floor of 1e-8, so the
+    # p-value is censored there: the warning gives the bound, the JSON 0
+    path = tmp_path / "steps.csv"
+    path.write_text("prediction,outcome\n" + "0.25,1\n" * 1000 + "0.75,0\n" * 1000)
+    code, out, err = _run(capsys, ["band", str(path)])
+    assert code == 0
+    assert "(p < 1e-08)" in err
+    assert json.loads(out)["isotonicity"]["p_value"] == 0.0
 
 
 def test_band_zoom_outside_observed_range(capsys, tmp_path):
