@@ -7,26 +7,36 @@ variant of that family, and the wider Hoeffding-style band around
 isotonic block averages.
 
 The raw band needs, per knot, one extreme over the family's pair bounds.
+The engine works at family resolution: every level it keeps is per
+family row (an upper level at a row's start knot row_j) or per family
+column (a lower level at a column's end knot k_values), so its
+temporaries scale with the family's rows and columns, never with the
+number of knots. The upper level is constant from one row knot to the
+next and the lower level from one column knot to the next, so nothing
+is lost; raw_band repeats the levels over the knots once, at the end.
+
 The bracket pass (_bracket_levels) sweeps the closed-form inner ends of
-each bound's bracket into per-knot levels and picks per row and per
-column a champion side, the likeliest to set a level. _Survivors owns
-every exact bound: it bounds a pair only if the pair's inner end
-reaches its cap, and each bound it computes tightens the caps. It bounds
-the champions first; raw_band's caps start infinite, so their bounds
-set the first caps. The exact pass (_exact_levels) then sweeps once
-more, tightens the inner ends of the sides that pass the caps to the KL
-roots, and hands _Survivors the sides whose tight inner end still
-reaches a cap. Per-knot values come from monotone suffix/prefix sweeps,
-so the full family costs O(|family|) inner ends and at most that many
-exact bounds instead of O(N * |family|). The result is bit-identical to
-bounding every pair; raw_band's docstring gives the argument.
+each bound's bracket into per-row and per-column levels and picks per
+row and per column a champion side, the likeliest to set a level.
+_Survivors owns every exact bound: it bounds a pair only if the pair's
+inner end reaches its cap, and each bound it computes tightens the caps.
+It bounds the champions first; raw_band's caps start infinite, so their
+bounds set the first caps. The exact pass (_exact_levels) then sweeps
+once more, tightens the inner ends of the sides that pass the caps to
+the KL roots, and hands _Survivors the sides whose tight inner end still
+reaches a cap. Levels come from monotone suffix/prefix sweeps over rows
+and columns, so the full family costs O(|family|) inner ends and at most
+that many exact bounds instead of O(N * |family|). The result is
+bit-identical to bounding every pair; raw_band's docstring gives the
+argument.
 _crosses shares both passes to decide whether the band crosses without
-building it: the inner bracket levels rule a crossing out at most
-alphas, the champions' bounds prove most of the rest, and the exact pass
-then needs only the pairs that can set a crossing level. Each crossing
-it finds also names a witness, a lower and an upper champion whose
-bounds cross; the isotonicity p-value's next probe bounds just those two
-sides at its own alpha, and needs no pass over the pairs if they cross.
+building it, comparing the levels at the row knots only: the inner
+bracket levels rule a crossing out at most alphas, the champions' bounds
+prove most of the rest, and the exact pass then needs only the pairs
+that can set a crossing level. Each crossing it finds also names a
+witness, the lower and the upper bound that cross the most; the
+isotonicity p-value's next probe bounds just those two sides at its own
+alpha, and needs no pass over the pairs if they cross.
 """
 
 import math
@@ -160,9 +170,18 @@ def _pair_chunks(data, family):
     Each chunk holds about _PAIR_CHUNK pairs (at least one row), row-major.
     rows and cols are each pair's row and column position in the family,
     indices into row_j and k_values; starts is the offset of each row.
+    z and m come from per-row and per-column tables of the observation
+    and outcome counts before a pair's first and after its last group.
     """
-    b = data.group_bounds
-    ps = data.prefix_sums[b]
+    row_b = data.group_starts[family.row_j]
+    ends = family.k_values + 1
+    col_b = np.where(
+        ends < data.n_groups,
+        data.group_starts[np.minimum(ends, data.n_groups - 1)],
+        data.n,
+    )
+    row_ps = data.prefix_sums[row_b]
+    col_ps = data.prefix_sums[col_b]
     first = family.row_first_k
     row_sizes = family.k_values.shape[0] - first
     cum = np.concatenate(([0], np.cumsum(row_sizes)))
@@ -175,24 +194,24 @@ def _pair_chunks(data, family):
         starts = cum[r0:r1] - cum[r0]
         rows = np.repeat(np.arange(r0, r1), sizes)
         cols = np.arange(cum[r1] - cum[r0]) + np.repeat(first[r0:r1] - starts, sizes)
-        js = family.row_j[rows]
-        ks = family.k_values[cols]
-        yield rows, cols, ps[ks + 1] - ps[js], b[ks + 1] - b[js], starts
+        yield rows, cols, col_ps[cols] - row_ps[rows], col_b[cols] - row_b[rows], starts
         r0 = r1
 
 
-def _suffix_min(values, at, n_groups):
-    """Per-knot suffix-min of values placed at knots at; +inf past the last."""
-    out = np.full(n_groups, np.inf)
-    out[at] = values
-    return np.minimum.accumulate(out[::-1])[::-1]
+def _suffix_min(values):
+    return np.minimum.accumulate(values[::-1])[::-1]
 
 
-def _prefix_max(values, at, n_groups):
-    """Per-knot prefix-max of values placed at knots at; -inf before the first."""
-    out = np.full(n_groups, -np.inf)
-    out[at] = values
-    return np.maximum.accumulate(out)
+def _lower_at_rows(family, lower):
+    """Per-column lower levels read at each row's knot; -inf left of every column."""
+    at = np.searchsorted(family.k_values, family.row_j, side="right")
+    return np.concatenate(([-np.inf], lower))[at]
+
+
+def _upper_at_cols(family, upper):
+    """Per-row upper levels read at each column's knot; +inf right of every row."""
+    at = np.searchsorted(family.row_j, family.k_values, side="left")
+    return np.concatenate((upper, [np.inf]))[at]
 
 
 class _Survivors:
@@ -210,7 +229,8 @@ class _Survivors:
     most extreme; then only the pairs whose inner end still passes the cap
     those bounds tightened. Pairs are batched across chunks, so
     cp_bounds_batch calls stay few, and a batch is flushed early at
-    _CHUNK_MIN pairs, which bounds the memory it holds.
+    _CHUNK_MIN pairs, which bounds the memory it holds. zm holds the
+    (z, m) of the pair whose bound is in out, per index.
     """
 
     def __init__(self, delta, upper, cap, champions):
@@ -220,6 +240,7 @@ class _Survivors:
         self.champions, inner = champions
         z, m = self.champions
         self.out = np.full(cap.shape[0], np.inf if upper else -np.inf)
+        self.zm = np.zeros((2, cap.shape[0]), dtype=np.int64)
         self.pieces = []
         self.size = 0
         at = np.flatnonzero(self.passes(inner, slice(None)))
@@ -259,11 +280,14 @@ class _Survivors:
         )
         if self.upper:
             np.minimum.at(self.out, index, up)
-            tight = np.minimum.accumulate(self.out[::-1])[::-1]
-            self.cap = np.minimum(self.cap, tight)
+            self.cap = np.minimum(self.cap, _suffix_min(self.out))
+            bound = up
         else:
             np.maximum.at(self.out, index, lo)
             self.cap = np.maximum(self.cap, np.maximum.accumulate(self.out))
+            bound = lo
+        hit = np.flatnonzero(bound == self.out[index])
+        self.zm[:, index[hit]] = z[hit], m[hit]
 
 
 def _delta(data, family, alpha):
@@ -276,13 +300,13 @@ def _delta(data, family, alpha):
 
 
 def _bracket_levels(data, family, delta):
-    """Per-knot inner bracket levels (L_hi, U_lo) and the champion sides.
+    """Inner bracket levels (U_lo per row, L_hi per column) and the champions.
 
-    L_hi is the prefix-max over columns k' <= k of the lower brackets'
-    high ends, U_lo the suffix-min over rows j' >= j of the upper
-    brackets' low ends; so lower <= L_hi and U_lo <= upper at every knot
-    with a pair on that side. A knot with no pair on a side gets -inf
-    (lower) or +inf (upper).
+    U_lo[r] is the suffix-min over rows r' >= r of the upper brackets' low
+    ends, L_hi[c] the prefix-max over columns c' <= c of the lower
+    brackets' high ends; so U_lo[r] <= upper at row r's knot and
+    lower <= L_hi[c] at column c's knot. A row (column) with no pair at
+    or after (before) it gets +inf (-inf).
 
     The champions are one (zm, inner) per side: per row the upper side
     with the smallest upper_lo, per column the lower side with the largest
@@ -307,22 +331,20 @@ def _bracket_levels(data, family, delta):
         ):
             at, i = np.unique(index[hit], return_index=True)
             zm[:, at] = z[hit[i]], m[hit[i]]
-    L_hi = _prefix_max(colmax, family.k_values, data.n_groups)
-    U_lo = _suffix_min(rowmin, family.row_j, data.n_groups)
-    return L_hi, U_lo, ((row_zm, rowmin), (col_zm, colmax))
+    U_lo = _suffix_min(rowmin)
+    L_hi = np.maximum.accumulate(colmax)
+    return U_lo, L_hi, ((row_zm, rowmin), (col_zm, colmax))
 
 
-def _levels(data, family, sides):
-    """Per-knot (upper, lower) levels of the bounds the sides hold so far.
+def _levels(sides):
+    """(upper per row, lower per column) levels of the sides' bounds so far.
 
-    upper is the suffix-min over rows of the upper side's out, lower the
-    prefix-max over columns of the lower side's; +inf or -inf where none.
+    upper is the suffix-min over rows of the upper side's out, the level
+    at each row's knot; lower the prefix-max over columns of the lower
+    side's, the level at each column's knot. +inf or -inf where none.
     """
     uppers, lowers = sides
-    return (
-        _suffix_min(uppers.out, family.row_j, data.n_groups),
-        _prefix_max(lowers.out, family.k_values, data.n_groups),
-    )
+    return _suffix_min(uppers.out), np.maximum.accumulate(lowers.out)
 
 
 def _exact_levels(data, family, delta, sides):
@@ -346,7 +368,7 @@ def _exact_levels(data, family, delta, sides):
             side.add(z_at, m_at, index[at], tight)
     for side in sides:
         side.flush()
-    return _levels(data, family, sides)
+    return _levels(sides)
 
 
 def raw_band(data, family, alpha):
@@ -373,21 +395,27 @@ def raw_band(data, family, alpha):
     (_inner_ends). A computed bound of any pair caps (floors) the computed
     level at every knot the pair covers, so with X_u the suffix-min over
     rows of the computed upper bounds and X_l the prefix-max over columns
-    of the computed lower bounds, X_u[j] caps upper(x_j) and X_l[k] floors
-    lower(x_k); before any bound X_u is +inf and X_l is -inf. One test
-    decides every exact bound, the champions' included: a pair's upper
-    side is bounded only if the low end of its bracket is <= X_u[j], its
-    lower side only if the high end of its bracket is >= X_l[k].
+    of the computed lower bounds, X_u[r] caps upper at row r's knot and
+    X_l[c] floors lower at column c's knot; before any bound X_u is +inf
+    and X_l is -inf. One test decides every exact bound, the champions'
+    included: a pair's upper side is bounded only if the low end of its
+    bracket is <= X_u at its row, its lower side only if the high end of
+    its bracket is >= X_l at its column.
     _Survivors bounds the champions first, which all pass the infinite
     caps, and the exact pass (_exact_levels) then the other pairs that
     pass, with their KL-refined ends; each bound tightens X_u and X_l as
     it comes in. The band is the same as bounding every pair: the pair
-    attaining upper(x_i) has j >= i and a bound <= upper(x_j) <= X_u[j],
-    so its bracket passes the test (likewise for the lower side), because
-    cp_bounds_batch keeps every bound inside its refined bracket, which
-    lies inside its closed-form one. A pair with its row's (column's)
-    champion's (z, m) is not bounded again: its bound is the champion's,
-    in X_u (X_l) already.
+    attaining upper(x_i) has row r with row_j[r] >= i and a bound <=
+    upper(x_{row_j[r]}) <= X_u[r], so its bracket passes the test
+    (likewise for the lower side), because cp_bounds_batch keeps every
+    bound inside its refined bracket, which lies inside its closed-form
+    one. A pair with its row's (column's) champion's (z, m) is not bounded
+    again: its bound is the champion's, in X_u (X_l) already.
+
+    The levels stay per row and per column until the end: upper is
+    constant on the knots from one row's start to the next, lower on the
+    knots from one column's end to the next, and each is repeated over its
+    run of knots once.
     """
     delta = _delta(data, family, alpha)
     row_champs, col_champs = _bracket_levels(data, family, delta)[2]
@@ -396,10 +424,19 @@ def raw_band(data, family, alpha):
         _Survivors(delta, False, np.full_like(col_champs[1], -np.inf), col_champs),
     )
     upper, lower = _exact_levels(data, family, delta, sides)
+    n = data.n_groups
     upper = np.where(np.isfinite(upper), upper, 1.0)
     lower = np.where(np.isfinite(lower), lower, 0.0)
     return StepBand(
-        knots=data.distinct_x.copy(), lower_levels=lower, upper_levels=upper
+        knots=data.distinct_x,
+        lower_levels=np.repeat(
+            np.concatenate(([0.0], lower)),
+            np.diff(family.k_values, prepend=0, append=n),
+        ),
+        upper_levels=np.repeat(
+            np.concatenate((upper, [1.0])),
+            np.diff(family.row_j, prepend=-1, append=n - 1),
+        ),
     )
 
 
@@ -415,22 +452,24 @@ def _crosses(data, family, alpha, witness=None):
 
     Otherwise the full decision runs. Upper levels are nondecreasing, so a
     crossing on the open piece after a knot implies one at the knot; knots
-    suffice. The bracket levels rule a crossing out when L_hi <= U_lo at
-    every knot. Failing that, a pair's upper side is bounded exactly only
-    if the low end of its bracket is <= min(X_u, L_hi)[j], and its lower
-    side only if the high end of its bracket is >= max(X_l, U_lo)[k], with
-    X_u and X_l as in raw_band; the champions pass this test first, as
-    every other pair does, and X_l > X_u at a knot from their bounds alone
-    proves a crossing before the exact pass. If the band crosses at x_i,
-    the pair b attaining upper(x_i) passes: its bound is upper(x_i) <=
-    upper(x_{j_b}) <= X_u[j_b], and it lies below lower(x_i) <=
-    lower(x_{j_b}) <= L_hi[j_b]; the pair attaining lower(x_i) passes in
-    the mirror image, so the passing pairs' levels cross at x_i too. The
+    suffice. The upper level is constant from one row's knot to the next
+    and the lower level never decreases, so the row knots suffice: every
+    comparison below is made at them. The bracket levels rule a crossing
+    out when L_hi <= U_lo at every row knot. Failing that, a pair's upper
+    side is bounded exactly only if the low end of its bracket is <=
+    min(X_u, L_hi) at its row, and its lower side only if the high end of
+    its bracket is >= max(X_l, U_lo) at its column, with X_u and X_l as
+    in raw_band; the champions pass this test first, as every other pair
+    does, and X_l > X_u at a row knot from their bounds alone proves a
+    crossing before the exact pass. If the band crosses at x_i, the pair b
+    attaining upper(x_i) passes: its bound is upper(x_i) <= upper at its
+    row's knot <= X_u there, and it lies below lower(x_i) <= lower at that
+    knot <= L_hi there; the pair attaining lower(x_i) passes in the
+    mirror image, so the passing pairs' levels cross at x_i too. The
     levels of a subset of pairs are never tighter than the band's, so they
     cross only where the band crosses.
 
-    Returns (crosses, witness). A crossing returns a new witness from the
-    champions around the knot where the deciding levels cross the most
+    Returns (crosses, witness). A crossing returns a new witness
     (_witness); no crossing returns the given witness, which may still
     hold at a larger alpha. The answer never depends on the witness: one
     that holds proves what the full decision would find.
@@ -438,36 +477,40 @@ def _crosses(data, family, alpha, witness=None):
     delta = _delta(data, family, alpha)
     if witness is not None and _witness_crosses(witness, delta):
         return True, witness
-    L_hi, U_lo, champions = _bracket_levels(data, family, delta)
-    if (L_hi <= U_lo).all():
+    U_lo, L_hi, champions = _bracket_levels(data, family, delta)
+    L_rows = _lower_at_rows(family, L_hi)
+    if (L_rows <= U_lo).all():
         return False, witness
     sides = (
-        _Survivors(delta, True, L_hi[family.row_j], champions[0]),
-        _Survivors(delta, False, U_lo[family.k_values], champions[1]),
+        _Survivors(delta, True, L_rows, champions[0]),
+        _Survivors(delta, False, _upper_at_cols(family, U_lo), champions[1]),
     )
-    upper, lower = _levels(data, family, sides)
-    if not (lower > upper).any():
+    upper, lower = _levels(sides)
+    gap = _lower_at_rows(family, lower) - upper
+    if not (gap > 0.0).any():
         upper, lower = _exact_levels(data, family, delta, sides)
-        if not (lower > upper).any():
+        gap = _lower_at_rows(family, lower) - upper
+        if not (gap > 0.0).any():
             return False, witness
-    return True, _witness(family, champions, lower - upper)
+    return True, _witness(family, sides, gap)
 
 
-def _witness(family, champions, gap):
-    """The (z, m) of a lower and an upper champion around gap's largest knot.
+def _witness(family, sides, gap):
+    """The (z, m) of the lower and upper bound that cross the most.
 
-    gap is lower minus upper level per knot, positive somewhere. Of the
-    column champions at or left of that knot the one with the largest
-    inner end is taken, of the row champions at or right of it the one
-    with the smallest; both sides have a pair there, as the levels cross.
-    Nothing is bounded: the witness is checked at the next probe.
+    gap is lower minus upper level at each row's knot, positive somewhere.
+    At the row knot where it is largest, the upper level is the least
+    bound the upper side holds over that row and the rows after it, the
+    lower level the greatest the lower side holds over the columns at or
+    left of it; the sides keep the (z, m) of each. Nothing new is bounded:
+    the witness is checked at the next probe.
     """
-    (row_zm, row_inner), (col_zm, col_inner) = champions
-    i = np.argmax(gap)
-    col = np.argmax(col_inner[: np.searchsorted(family.k_values, i, side="right")])
-    r0 = np.searchsorted(family.row_j, i, side="left")
-    row = r0 + np.argmin(row_inner[r0:])
-    return np.stack((col_zm[:, col], row_zm[:, row]), axis=1)
+    uppers, lowers = sides
+    r = np.argmax(gap)
+    cols = np.searchsorted(family.k_values, family.row_j[r], side="right")
+    col = np.argmax(lowers.out[:cols])
+    row = r + np.argmin(uppers.out[r:])
+    return np.stack((lowers.zm[:, col], uppers.zm[:, row]), axis=1)
 
 
 def _witness_crosses(witness, delta):
@@ -540,9 +583,7 @@ def yb_band(data, fit, alpha):
 
     np.clip(upper, 0.0, 1.0, out=upper)
     np.clip(lower, 0.0, 1.0, out=lower)
-    return StepBand(
-        knots=data.distinct_x.copy(), lower_levels=lower, upper_levels=upper
-    )
+    return StepBand(knots=data.distinct_x, lower_levels=lower, upper_levels=upper)
 
 
 def evaluate_band(band, x, extrapolate):

@@ -314,6 +314,8 @@ _DIGITS = 12
 _POW10 = np.array([float(10**j) for j in range(23)])
 _M_MIN = float(10 ** (_DIGITS - 1))
 _M_MAX = float(10**_DIGITS)
+# values per chunk when band arrays are rounded and printed
+_ROW_CHUNK = 1 << 14
 
 
 def _outward(values, up):
@@ -321,19 +323,21 @@ def _outward(values, up):
 
     A lower bound (up=False) becomes the largest decimal with at most 12
     significant digits whose float64 value is <= the bound, an upper bound
-    (up=True) the smallest whose value is >= it. Returns a list of floats
-    whose repr is that decimal. Printed bands are never narrower than the
-    computed ones, nondecreasing levels stay nondecreasing, and the text
-    no longer depends on the last bits that the scipy and libm build gives
-    betaincinv. Zero and one print unchanged; values that are not positive
-    and finite are left as they are.
+    (up=True) the smallest whose value is >= it. Returns a float64 array
+    of the input's shape whose values repr as those decimals. Printed
+    bands are never narrower than the computed ones, nondecreasing levels
+    stay nondecreasing, and the text no longer depends on the last bits
+    that the scipy and libm build gives betaincinv. Zero and one print
+    unchanged; values that are not positive and finite are left as they
+    are. The rounding runs _ROW_CHUNK values at a time.
     """
-    shape = np.shape(values)
-    x = np.asarray(values, dtype=np.float64).ravel()
-    out = x.copy()
-    idx = np.flatnonzero(np.isfinite(x) & (x > 0.0))
-    out[idx] = _outward_positive(x[idx], up)
-    return out.reshape(shape).tolist()
+    out = np.array(values, dtype=np.float64)
+    flat = out.reshape(-1)
+    for i in range(0, flat.shape[0], _ROW_CHUNK):
+        x = flat[i : i + _ROW_CHUNK]
+        idx = np.flatnonzero(np.isfinite(x) & (x > 0.0))
+        x[idx] = _outward_positive(x[idx], up)
+    return out
 
 
 def _outward_positive(a, up):
@@ -409,18 +413,29 @@ def _run_texts(values):
 def _write_document(fh, band_block, diagnostics):
     """Write json.dump({"band": band_block, **diagnostics}, fh, indent=2) and "\\n".
 
-    The bytes are the same. Each band array is formatted by _run_texts and
-    written as one string, released before the next array; json.dumps
-    renders the small rest of the document.
+    The bytes are the same. Each band array is formatted by _run_texts
+    and written _ROW_CHUNK values at a time; json.dumps renders the small
+    rest of the document.
     """
     fh.write('{\n  "band": {')
     for i, (key, values) in enumerate(band_block.items()):
         fh.write(f'{"," if i else ""}\n    {json.dumps(key)}: [\n      ')
-        fh.write(_ITEM_SEP.join(_run_texts(values)))
+        for j in range(0, values.shape[0], _ROW_CHUNK):
+            if j:
+                fh.write(_ITEM_SEP)
+            fh.write(_ITEM_SEP.join(_run_texts(values[j : j + _ROW_CHUNK])))
         fh.write("\n    ]")
     fh.write("\n  },\n")
     fh.write(json.dumps(diagnostics, indent=2)[2:])  # drops the opening "{\n"
     fh.write("\n")
+
+
+def _write_table(fh, band_block):
+    """Write the band arrays as CSV rows of repr texts, _ROW_CHUNK rows at a time."""
+    columns = list(band_block.values())
+    for j in range(0, columns[0].shape[0], _ROW_CHUNK):
+        texts = [_run_texts(values[j : j + _ROW_CHUNK]) for values in columns]
+        fh.writelines(",".join(row) + "\n" for row in zip(*texts))
 
 
 def _cmd_band(args):
@@ -434,8 +449,10 @@ def _cmd_band(args):
     if args.format == "csv" and args.output == "-":
         raise UsageError("--format csv requires --output PATH")
 
-    x, y = _read_predictions(args.input, args.general_covariates)
-    data = build_sorted_data(np.column_stack((x, y)))
+    # the read table and its stacked copy are released once data is built
+    data = build_sorted_data(
+        np.column_stack(_read_predictions(args.input, args.general_covariates))
+    )
     fit = pava(data)
     if args.index_family == "full":
         fam = full_index_family(data)
@@ -488,12 +505,10 @@ def _cmd_band(args):
         "hl_bins": args.hl_bins,
         "general_covariates": args.general_covariates,
     }
-    # Arrays, not lists of floats: the writer's texts then take no more
-    # memory than the document's lists used to.
     band_block = {
         "knots": band.knots,
-        "lower": np.asarray(_outward(band.lower_levels, up=False)),
-        "upper": np.asarray(_outward(band.upper_levels, up=True)),
+        "lower": _outward(band.lower_levels, up=False),
+        "upper": _outward(band.upper_levels, up=True),
         "isotonic_fit": fit_knots,
     }
     if verdict is None:
@@ -502,11 +517,13 @@ def _cmd_band(args):
         verdict_block = {
             "classical_reject": verdict.classical_reject,
             "miscalibrated_regions": _interval_list(verdict.miscalibrated_regions),
-            "epsilon_certificate": _outward(verdict.epsilon_certificate, up=False),
+            "epsilon_certificate": float(
+                _outward(verdict.epsilon_certificate, up=False)
+            ),
         }
     iso_block = {
         "p_value": report.p_value,
-        "gamma_hat": _outward(report.gamma_hat, up=False),
+        "gamma_hat": float(_outward(report.gamma_hat, up=False)),
         "crossing_regions": _interval_list(report.crossing_regions),
         "alpha": report.alpha,
     }
@@ -534,8 +551,7 @@ def _cmd_band(args):
             for key, val in meta.items():
                 fh.write(f"# {key}={_meta_str(val)}\n")
             fh.write("x,lower,upper,isotonic_fit\n")
-            columns = [_run_texts(values) for values in band_block.values()]
-            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+            _write_table(fh, band_block)
         sidecar = os.path.splitext(args.output)[0] + ".diagnostics.json"
         with open(sidecar, "w", encoding="utf-8") as fh:
             json.dump(diagnostics, fh, indent=2)

@@ -1,7 +1,10 @@
 """Calibration and isotonicity diagnostics derived from a band.
 
 The verdict machinery does exact interval arithmetic on the band's step
-pieces, held as arrays, so reported regions are not grid approximations.
+pieces, so reported regions are not grid approximations. The pieces are
+built for a fixed number of knots at a time: each chunk's parts are
+merged into regions that keep their end inclusion, and those regions are
+joined across chunks, so no temporary grows with the number of knots.
 The isotonicity test inverts band construction over alpha; its p-value is
 the smallest level at which the lower bound overtakes the upper somewhere,
 found by bisection on the crossing decision of bands._crosses, which
@@ -30,6 +33,8 @@ __all__ = [
     "hosmer_lemeshow",
 ]
 
+# knots per chunk of the verdict's and the crossing regions' pieces
+_KNOT_CHUNK = 1 << 14
 _PVALUE_TOL = 1e-4
 _PVALUE_ALPHA_HI = 1.0 - 1e-6
 _PVALUE_ALPHA_LO = 1e-8
@@ -66,35 +71,57 @@ class HosmerLemeshowResult(NamedTuple):
     p_value: float | None
 
 
+def _knot_chunks(n):
+    """Slices of at most _KNOT_CHUNK consecutive knots, left to right."""
+    return (slice(i, min(i + _KNOT_CHUNK, n)) for i in range(0, n, _KNOT_CHUNK))
+
+
+def _knot_max(band, margin):
+    """max over the knots of margin(knots, lower, upper), chunk by chunk."""
+    return max(
+        float(margin(band.knots[s], band.lower_levels[s], band.upper_levels[s]).max())
+        for s in _knot_chunks(band.knots.shape[0])
+    )
+
+
 def _pieces(band, lo, hi):
     """Decompose [lo, hi] into alternating point/open pieces with levels.
 
-    Returns arrays (a, b, a_incl, b_incl, lower, upper), one entry per
-    piece in left-to-right order; point pieces have a == b. Assumes
+    Yields arrays (a, b, a_incl, b_incl, lower, upper) for each chunk of
+    knots, one entry per piece in left-to-right order; point pieces have
+    a == b. A chunk holds each of its knots and the open piece before it,
+    the last chunk also the piece after the last knot. Assumes
     lo <= knots[0] and knots[-1] <= hi.
     """
     knots = band.knots
     n = knots.shape[0]
-    # gap 0, knot 0, gap 1, ..., knot n-1, gap n: gap 0 is [lo, knots[0])
-    # at lower level 0, gap n is (knots[-1], hi] at upper level 1, and the
-    # gap after knot i carries (lower[i], upper[i+1])
-    a = np.repeat(np.concatenate(([lo], knots)), 2)[1:]
-    b = np.repeat(np.concatenate((knots, [hi])), 2)[:-1]
-    lower = np.repeat(np.concatenate(([0.0], band.lower_levels)), 2)[1:]
-    upper = np.repeat(np.concatenate((band.upper_levels, [1.0])), 2)[:-1]
-    a_incl = np.zeros(2 * n + 1, dtype=bool)
-    a_incl[1::2] = True
-    b_incl = a_incl.copy()
-    a_incl[0] = True
-    b_incl[-1] = True
-    keep = np.ones(2 * n + 1, dtype=bool)
-    keep[0] = lo < knots[0]
-    keep[-1] = knots[-1] < hi
-    return a[keep], b[keep], a_incl[keep], b_incl[keep], lower[keep], upper[keep]
+    for s in _knot_chunks(n):
+        i0, i1 = s.start, s.stop
+        last = i1 == n
+        # gap i0, knot i0, gap i0+1, ..., knot i1-1, gap i1: gap 0 is
+        # [lo, knots[0]) at lower level 0, gap n is (knots[-1], hi] at upper
+        # level 1, and the gap after knot i carries (lower[i], upper[i+1]);
+        # gap i1 belongs to the next chunk unless this is the last
+        left = knots[i0 - 1] if i0 else lo
+        low_left = band.lower_levels[i0 - 1] if i0 else 0.0
+        a = np.repeat(np.concatenate(([left], knots[s])), 2)[1:]
+        b = np.repeat(np.concatenate((knots[s], [hi])), 2)[:-1]
+        lower = np.repeat(np.concatenate(([low_left], band.lower_levels[s])), 2)[1:]
+        upper = np.repeat(np.concatenate((band.upper_levels[s], [1.0])), 2)[:-1]
+        count = 2 * (i1 - i0) + 1
+        a_incl = np.zeros(count, dtype=bool)
+        a_incl[1::2] = True
+        b_incl = a_incl.copy()
+        a_incl[0] = i0 == 0
+        b_incl[-1] = True
+        keep = np.ones(count, dtype=bool)
+        keep[0] = i0 > 0 or lo < knots[0]
+        keep[-1] = last and knots[-1] < hi
+        yield a[keep], b[keep], a_incl[keep], b_incl[keep], lower[keep], upper[keep]
 
 
 def _merge(lo, hi, lo_incl, hi_incl):
-    """Merge interval parts, given as arrays, into a list of (lo, hi) tuples.
+    """Merge interval parts, given as arrays, into regions with their ends.
 
     Two parts join when they overlap or when they touch at a point that at
     least one of them contains; an uncovered single point keeps its
@@ -104,10 +131,12 @@ def _merge(lo, hi, lo_incl, hi_incl):
     part that opens a region ends strictly right of every earlier part
     (only included points are degenerate), so the running maximum over
     all earlier parts is the current region's end, and its inclusion is
-    whether any part ending exactly there includes its end.
+    whether any part ending exactly there includes its end. Regions are
+    returned as arrays (lo, hi, lo_incl, hi_incl) and are parts
+    themselves: merging the regions of two sets of parts merges the sets.
     """
     if lo.shape[0] == 0:
-        return []
+        return lo, hi, lo_incl, hi_incl
     order = np.lexsort((~lo_incl, lo))
     lo, hi, lo_incl, hi_incl = lo[order], hi[order], lo_incl[order], hi_incl[order]
     end = np.maximum.accumulate(hi)
@@ -125,7 +154,39 @@ def _merge(lo, hi, lo_incl, hi_incl):
         (lo[1:] == end[:-1]) & ~end_incl[:-1] & ~lo_incl[1:]
     )
     first = np.flatnonzero(opens)
-    return list(zip(lo[first].tolist(), np.maximum.reduceat(hi, first).tolist()))
+    closes = np.append(first[1:] - 1, hi.shape[0] - 1)
+    return lo[first], end[closes], lo_incl[first], end_incl[closes]
+
+
+def _regions(chunk_parts):
+    """Merge the parts of each chunk, then join the chunks' regions.
+
+    chunk_parts yields (lo, hi, lo_incl, hi_incl) arrays, one set per
+    chunk of knots. Returns the regions as a list of (lo, hi) floats.
+    """
+    merged = [_merge(*parts) for parts in chunk_parts]
+    if not merged:
+        return []
+    lo, hi = _merge(*(np.concatenate(arrays) for arrays in zip(*merged)))[:2]
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
+def _verdict_parts(band):
+    """Per chunk of knots, where the diagonal leaves the band on [0, 1]."""
+    for a, b, ai, bi, low, up in _pieces(band, 0.0, 1.0):
+        point = a == b
+        # each piece gives up to two parts, in this order: the diagonal at a
+        # point outside [low, up], or below the lower level on
+        # [a, min(b, low)); then the diagonal above the upper level on
+        # (max(a, up), b]
+        first = np.where(point, (a < low) | (a > up), low > a)
+        keep = np.stack((first, ~point & (up < b)), axis=1)
+        yield (
+            np.stack((a, np.maximum(a, up)), axis=1)[keep],
+            np.stack((np.where(point, a, np.minimum(b, low)), b), axis=1)[keep],
+            np.stack((ai, ai & (a > up)), axis=1)[keep],
+            np.stack((point | (bi & (b < low)), bi), axis=1)[keep],
+        )
 
 
 def calibration_verdict(band):
@@ -141,26 +202,12 @@ def calibration_verdict(band):
             "band domain exceeds [0, 1]; the diagonal verdict is undefined "
             "for general covariates"
         )
-    a, b, ai, bi, low, up = _pieces(band, 0.0, 1.0)
-    point = a == b
-    # each piece gives up to two parts, in this order: the diagonal at a
-    # point outside [low, up], or below the lower level on [a, min(b, low));
-    # then the diagonal above the upper level on (max(a, up), b]
-    first = np.where(point, (a < low) | (a > up), low > a)
-    keep = np.stack((first, ~point & (up < b)), axis=1)
-    lo = np.stack((a, np.maximum(a, up)), axis=1)[keep]
-    hi = np.stack((np.where(point, a, np.minimum(b, low)), b), axis=1)[keep]
-    lo_incl = np.stack((ai, ai & (a > up)), axis=1)[keep]
-    hi_incl = np.stack((point | (bi & (b < low)), bi), axis=1)[keep]
-    regions = _merge(lo, hi, lo_incl, hi_incl)
-
-    x = knots
-    eps_arr = np.maximum(band.lower_levels - x, x - band.upper_levels)
-    eps = float(max(0.0, eps_arr.max()))
+    regions = _regions(_verdict_parts(band))
+    eps = _knot_max(band, lambda x, low, up: np.maximum(low - x, x - up))
     return CalibrationVerdict(
         classical_reject=bool(regions),
         miscalibrated_regions=regions,
-        epsilon_certificate=eps,
+        epsilon_certificate=max(0.0, eps),
     )
 
 
@@ -172,16 +219,21 @@ def _crossing_gap(band):
     (L_i, U_{i+1}), and upper levels never decrease, so no piece overlaps
     by more than the knot before it.
     """
-    return float((band.lower_levels - band.upper_levels).max())
+    return _knot_max(band, lambda x, low, up: low - up)
+
+
+def _crossing_parts(band):
+    """Per chunk of knots, the pieces where the lower level exceeds the upper."""
+    for a, b, ai, bi, low, up in _pieces(band, band.knots[0], band.knots[-1]):
+        cross = low > up
+        yield a[cross], b[cross], ai[cross], bi[cross]
 
 
 def _crossing_regions(band):
-    # a band that never crosses skips building the piece arrays
+    # a band that never crosses skips building the pieces
     if _crossing_gap(band) <= 0.0:
         return []
-    a, b, ai, bi, low, up = _pieces(band, band.knots[0], band.knots[-1])
-    cross = low > up
-    return _merge(a[cross], b[cross], ai[cross], bi[cross])
+    return _regions(_crossing_parts(band))
 
 
 def isotonicity_pvalue(data, family):

@@ -1,6 +1,7 @@
 """Tests for index-pair families, the confidence bands, and evaluation."""
 
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +428,25 @@ def test_raw_band_crosses_bounds_only_champions_that_pass_the_caps(monkeypatch):
     fam = rounded_index_family(d, K=100)
     assert bands_module._crosses(d, fam, 1.0 - 1e-6)[0] is False
     assert 0 < sum(asked for _, asked in calls) <= 10
+
+
+def test_raw_band_crosses_memory_stays_at_family_size():
+    # the p-value's first probe at n = 200,000 with K = 1000: levels, caps
+    # and the count tables are kept per row and per column of the family,
+    # so no temporary grows with the number of knots
+    rng = np.random.default_rng(1)
+    x = rng.random(200_000)
+    d = _data(x, rng.random(200_000) < x**0.7)
+    fam = rounded_index_family(d, K=1000)
+    alpha = 1.0 - 1e-6
+    assert bands_module._crosses(d, fam, alpha)[0] is False  # imports scipy first
+    tracemalloc.start()
+    try:
+        bands_module._crosses(d, fam, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"probe peak {peak / 1e6:.1f} MB"
 
 
 def test_a_witness_that_holds_proves_the_band_crosses():

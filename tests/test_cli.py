@@ -8,6 +8,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from xml.dom import minidom
 
 import numpy as np
@@ -179,11 +180,11 @@ def _significant_digits(value):
 def test_outward_rounding_hides_the_last_ulp():
     # One lower bound as two scipy builds give it, one ulp apart.
     pair = [0.00037885964610360166, 0.0003788596461036017]
-    assert json.dumps(_outward(pair, up=False)) == (
+    assert json.dumps(_outward(pair, up=False).tolist()) == (
         "[0.000378859646103, 0.000378859646103]"
     )
     for up in (False, True):
-        assert _outward([0.0, 1.0], up=up) == [0.0, 1.0]
+        assert _outward([0.0, 1.0], up=up).tolist() == [0.0, 1.0]
     assert _outward(0.9992424242424243, up=True) == 0.999242424243
     assert _outward(0.1, up=True) == 0.1
 
@@ -298,6 +299,74 @@ def test_band_csv_table_prints_repr_of_each_cell(monkeypatch, capsys, tmp_path):
         assert code == 0
         table = out_path.read_text().split("x,lower,upper,isotonic_fit\n", 1)[1]
         assert table == expected
+
+
+def test_chunked_printing_matches_one_pass(monkeypatch, capsys, tmp_path):
+    # rounding and printing a few values at a time, so that every array
+    # spans many chunks, writes the bytes of one pass over each array
+    monkeypatch.chdir(DATA)
+    runs = {}
+    for chunk in (cli._ROW_CHUNK, 2, 3):
+        monkeypatch.setattr(cli, "_ROW_CHUNK", chunk)
+        for name, flags in (
+            ("demo.csv", []),
+            ("demo_small.csv", ["--alpha", "0.1", "--index-family", "full"]),
+        ):
+            code, out, err = _run(capsys, ["band", name, *flags])
+            assert code == 0
+            path = tmp_path / f"{chunk}-{name}"
+            code, _, err_csv = _run(
+                capsys, ["band", name, *flags, "--format", "csv", "--output", str(path)]
+            )
+            assert code == 0
+            sidecar = path.with_suffix(".diagnostics.json").read_text()
+            runs.setdefault(name, []).append((out, err, path.read_text(), sidecar, err_csv))
+    for name, texts in runs.items():
+        assert texts[1] == texts[0] and texts[2] == texts[0], name
+    golden = (DATA / "golden_band_small.csv").read_text()
+    assert runs["demo_small.csv"][1][2] == golden
+
+
+def test_outward_rounds_chunk_by_chunk(monkeypatch):
+    values = np.sort(np.random.default_rng(23).random(50))
+    want = _outward(values, up=True)
+    monkeypatch.setattr(cli, "_ROW_CHUNK", 3)
+    got = _outward(values, up=True)
+    assert isinstance(got, np.ndarray)
+    np.testing.assert_array_equal(got, want)
+    assert (got >= values).all()
+
+
+class _Sink:
+    """A text file that keeps only the byte count."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def test_writer_memory_stays_within_a_chunk_budget():
+    # the band arrays are formatted and written a chunk at a time, so the
+    # writer's texts do not grow with the number of knots
+    n = 200_000
+    x = np.sort(np.random.default_rng(29).random(n))
+    band_block = {
+        "knots": x,
+        "lower": np.floor((x - 0.05) * 1e3) / 1e3,
+        "upper": np.ceil((x + 0.05) * 1e3) / 1e3,
+        "isotonic_fit": np.round(x, 2),
+    }
+    tracemalloc.start()
+    try:
+        sink = _Sink()
+        cli._write_document(sink, band_block, {"meta": {"n": n}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 4 * n * 10
+    assert peak < 6e6, f"writer peak {peak / 1e6:.1f} MB"
 
 
 def test_run_texts_is_repr_of_each_value():

@@ -1,5 +1,6 @@
 """Tests for the calibration verdict, isotonicity test, and binned chi-square."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -129,32 +130,81 @@ def test_verdict_agrees_with_dense_grid_scan():
     assert checked > 0  # the sweep exercised actual rejections
 
 
-def test_regions_match_the_piece_loops_on_coarse_grids():
+def test_regions_match_the_piece_loops_on_coarse_grids(monkeypatch):
     # levels and knots on a coarse grid tie with each other and with the
-    # diagonal, which exercises every touching and inclusion rule
-    rng = np.random.default_rng(139)
-    regions = crossings = 0
-    for _ in range(2000):
-        grid = int(rng.choice([4, 5, 8, 10]))
-        knots = np.unique(rng.integers(0, grid + 1, size=int(rng.integers(1, 12))) / grid)
-        n = knots.shape[0]
-        lower = np.sort(rng.integers(0, grid + 1, size=n) / grid)
-        upper = np.sort(rng.integers(0, grid + 1, size=n) / grid)
-        if rng.random() < 0.4:
-            upper = np.maximum(upper, lower)
-        elif rng.random() < 0.3:
-            upper = lower.copy()
-        band = _band(knots, lower, upper)
-        want = miscalibrated_regions_loop(band)
-        got = calibration_verdict(band).miscalibrated_regions
-        assert got == want
-        assert all(type(v) is float for r in got for v in r)
-        want = crossing_regions_loop(band)
-        assert calband.diagnostics._crossing_regions(band) == want
-        assert calband.diagnostics._crossing_gap(band) == _piece_overlap(band)
-        regions += len(got)
-        crossings += len(want)
-    assert regions > 1000 and crossings > 300
+    # diagonal, which exercises every touching and inclusion rule. With a
+    # chunk of a few knots most regions also run over a chunk edge, where
+    # the regions of the chunks are joined
+    for chunk in (calband.diagnostics._KNOT_CHUNK, 2, 3):
+        monkeypatch.setattr(calband.diagnostics, "_KNOT_CHUNK", chunk)
+        rng = np.random.default_rng(139)
+        regions = crossings = 0
+        for _ in range(2000):
+            grid = int(rng.choice([4, 5, 8, 10]))
+            size = int(rng.integers(1, 12))
+            knots = np.unique(rng.integers(0, grid + 1, size=size) / grid)
+            n = knots.shape[0]
+            lower = np.sort(rng.integers(0, grid + 1, size=n) / grid)
+            upper = np.sort(rng.integers(0, grid + 1, size=n) / grid)
+            if rng.random() < 0.4:
+                upper = np.maximum(upper, lower)
+            elif rng.random() < 0.3:
+                upper = lower.copy()
+            band = _band(knots, lower, upper)
+            want = miscalibrated_regions_loop(band)
+            got = calibration_verdict(band).miscalibrated_regions
+            assert got == want
+            assert all(type(v) is float for r in got for v in r)
+            want = crossing_regions_loop(band)
+            assert calband.diagnostics._crossing_regions(band) == want
+            assert calband.diagnostics._crossing_gap(band) == _piece_overlap(band)
+            regions += len(got)
+            crossings += len(want)
+        assert regions > 1000 and crossings > 300
+
+
+def test_regions_join_at_a_chunk_edge_only_through_an_included_point(monkeypatch):
+    # chunks of two knots: the edge falls right after the knot 0.2
+    monkeypatch.setattr(calband.diagnostics, "_KNOT_CHUNK", 2)
+    knots = [0.1, 0.2, 0.3, 0.4]
+    # the diagonal is below the lower level 0.5 from the first knot on, and
+    # the violation at the knot 0.2 joins the pieces on both sides of it
+    inside = _band(knots, [0.5] * 4, [1.0] * 4)
+    assert calibration_verdict(inside).miscalibrated_regions == [(0.1, 0.5)]
+    crossing = _band(knots, [0.6] * 4, [0.5] * 4)
+    assert calband.diagnostics._crossing_regions(crossing) == [(0.1, 0.4)]
+    # the diagonal meets both levels at the knot 0.2 and only there: it is
+    # below the lower level left of it and above the upper level right of
+    # it, and the uncovered point keeps the two regions apart
+    apart = _band(knots, [0.2] * 4, [0.2, 0.2, 0.2, 1.0])
+    want = [(0.1, 0.2), (0.2, 0.3)]
+    assert miscalibrated_regions_loop(apart) == want
+    assert calibration_verdict(apart).miscalibrated_regions == want
+
+
+def _large_band(n):
+    # a nondecreasing band of n knots with levels on a 1e-3 grid that the
+    # diagonal leaves in many places
+    x = np.sort(np.random.default_rng(157).random(n))
+    wave = 0.06 * np.sin(40.0 * x)
+    lower = np.maximum.accumulate(np.floor((x - 0.04 + wave) * 1e3) / 1e3)
+    upper = np.maximum.accumulate(np.ceil((x + 0.04 + wave) * 1e3) / 1e3)
+    return _band(x, lower, upper)
+
+
+def test_verdict_memory_stays_within_a_chunk_budget():
+    # the pieces are built a chunk of knots at a time, so the verdict's
+    # temporaries do not grow with the number of knots
+    band = _large_band(200_000)
+    calibration_verdict(band)
+    tracemalloc.start()
+    try:
+        verdict = calibration_verdict(band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(verdict.miscalibrated_regions) > 5
+    assert peak < 8e6, f"verdict peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +278,31 @@ def test_pvalue_probes_carry_a_crossing_witness(monkeypatch):
     assert 1e-4 < p < 1e-3
     assert len(passes) <= 8
     assert True in checks and False in checks
+
+
+def test_witness_from_the_crossing_bounds_saves_bracket_passes(monkeypatch):
+    # the full family on the dip at n = 512, p about 0.24: the probes
+    # alternate, and each one that does not cross needs a bracket pass.
+    # The witness is the pair of bounds that cross the most at the last
+    # crossing; it holds at 4 of the 15 checks here, and 12 probes make a
+    # bracket pass (15 with the champions' closed-form ends as witness)
+    passes, checks = [], []
+    levels, check = bands_module._bracket_levels, bands_module._witness_crosses
+
+    def spy_levels(*args):
+        passes.append(args[2])
+        return levels(*args)
+
+    def spy_check(*args):
+        checks.append(check(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(bands_module, "_bracket_levels", spy_levels)
+    monkeypatch.setattr(bands_module, "_witness_crosses", spy_check)
+    d = dip_data(np.random.default_rng(3), 512)
+    assert 0.2 < isotonicity_pvalue(d, full_index_family(d)) < 0.3
+    assert len(checks) == 15
+    assert len(passes) <= 12
 
 
 def test_gamma_closed_form_two_blocks():
