@@ -327,7 +327,7 @@ def _outward(values, up):
     of the input's shape whose values repr as those decimals. Printed
     bands are never narrower than the computed ones, nondecreasing levels
     stay nondecreasing, and the text no longer depends on the last bits
-    that the scipy and libm build gives betaincinv. Zero and one print
+    of the computed bounds. Zero and one print
     unchanged; values that are not positive and finite are left as they
     are. The rounding runs _ROW_CHUNK values at a time.
     """

@@ -103,15 +103,24 @@ class IsotonicFit:
     block_ends: np.ndarray
     levels: np.ndarray
     n_groups: int = field(repr=False)
+    _group_levels: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_blocks(self):
         return self.levels.shape[0]
 
     def group_levels(self):
-        """Fitted value for each tie group, shape (N,)."""
-        reps = self.block_ends - self.block_starts + 1
-        return np.repeat(self.levels, reps)
+        """Fitted value for each tie group, shape (N,), read-only.
+
+        Built on the first call and shared by later ones, so the nc repair
+        and the CLI's output read one array.
+        """
+        if self._group_levels is None:
+            reps = self.block_ends - self.block_starts + 1
+            levels = np.repeat(self.levels, reps)
+            levels.flags.writeable = False
+            object.__setattr__(self, "_group_levels", levels)
+        return self._group_levels
 
 
 def pava(data):

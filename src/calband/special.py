@@ -1,28 +1,35 @@
 """Clopper-Pearson bounds for binomial proportions, and the chi-square tail.
 
-cp_bounds_batch is the one Clopper-Pearson route. It evaluates both
-bounds over integer arrays through scipy's compiled incomplete-beta
-inverse; the scalar cp_lower and cp_upper call it for one side, so the
-two APIs agree bit for bit.
+cp_bounds_batch is the one Clopper-Pearson route, in numpy alone. It
+evaluates both bounds over integer arrays; the scalar cp_lower and
+cp_upper call it for one side, so the two APIs agree bit for bit. An
+upper bound is 1 minus the lower bound of m - z, rounded up.
+
+A lower bound is the root x of P(Bin(m, x) >= z) = I_x(z, m - z + 1) =
+delta. _Tail evaluates the logarithm of that tail: the binomial pmf at z
+in Loader's saddle-point form (_stirlerr, _bd0), which has no
+cancellation, times a continued fraction (_betacf) below the mean, and
+one minus the mirrored tail above it. _beta_root finds the root in log x
+by steps to the roots of the tail's Taylor polynomials, each checked by
+an evaluation; the root it returns lies on the left by its own forward
+check, so both bounds are outward. Two evaluations per root suffice
+almost always. Every step is elementwise, so a bound never depends on the
+other entries of its batch.
 
 cp_brackets puts each bound inside a closed-form bracket (Hoeffding on
-one side, the binary method-of-types bound on the other), the fallback
-of cp_bounds_batch's guard. _kl_brackets tightens both ends to the roots
-they relax: the Chernoff bound outside, Ash's lower bound on the
-binomial coefficient inside, a few vectorized Newton and false-position
-steps each, every end checked by one KL evaluation. Band construction
-reads only the inner ends, closed-form (_inner_ends) in both of its
-passes and KL (_kl_inner) in the exact one, and tests them against caps
-made of exact bounds, which on a sweep replication (n = 8192, K = 1000)
-leaves betaincinv about 1.5% of the pair sides. cp_bounds_batch guards
-the inverse with the tightened brackets: a bound that comes back outside
-its bracket, NaN included, is solved again by bisection on the
-incomplete beta function, so every returned bound lies inside its
-bracket.
+one side, the binary method-of-types bound on the other). _kl_outer and
+_kl_inner tighten the ends to the roots they relax: the Chernoff bound
+outside, Ash's lower bound on the binomial coefficient inside, a few
+vectorized Newton and false-position steps each, every end checked by
+one KL evaluation. Band construction reads only the inner ends,
+closed-form (_inner_ends) in both of its passes and KL (_kl_inner) in
+the exact one, and tests them against caps made of exact bounds, which
+on a sweep replication (n = 8192, K = 1000) leaves the exact solve about
+1.5% of the pair sides. _beta_root starts from the _kl_outer end, on the
+root's left, and keeps every step inside that bracket.
 
 chi2_survival, the tail the Hosmer-Lemeshow baseline is referred to, is
-written against the math module only, so the p-values calband prints do
-not depend on the scipy build.
+written against the math module only.
 """
 
 import math
@@ -48,15 +55,41 @@ _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 _CF_MAXITER = 500
 
+#: log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 0..15 (0 at n = 0), from
+#: 50-digit arithmetic; _stirlerr sums the Stirling series above 15.
+_STIRLERR = np.array([
+    0.0, 0.08106146679532725822, 0.041340695955409294094,
+    0.027677925684998339149, 0.020790672103765093112,
+    0.016644691189821192163, 0.013876128823070747999,
+    0.011896709945891770095, 0.010411265261972096497,
+    0.0092554621827127329177, 0.0083305634333628712565,
+    0.007573675487951840795, 0.0069428401072095298657,
+    0.0064089941880042070684, 0.0059513701127588477356,
+    0.005554733551962801371,
+])
+_LN_2PI = math.log(2.0 * math.pi)
+#: 1/17, 1/15, ..., 1/3: _bd0's series in v^2, in Horner order.
+_BD0_SERIES = tuple(1.0 / (2 * j + 1) for j in range(8, 0, -1))
+
+#: _beta_root's tolerance on a root: _ROOT_TOL relative (8 ulps at 1), at
+#: least 3 ulps, plus _WIN times the evaluation's error bound over the
+#: slope. Each step aims _AIM of the tolerance left of the root, so the
+#: next evaluation lands on the left and inside it. _ROOT_STEPS caps the
+#: evaluations per root; two suffice almost always.
+_ROOT_TOL = 2.0**-49
+_AIM = 0.4
+_WIN = 6.0
+_ROOT_STEPS = 64
+
 #: Absolute widening of every cp_brackets end. The closed forms round at
-#: about 1e-16 and betaincinv is good to about 1e-14 relative on values in
-#: [0, 1], so the widened brackets contain the computed bounds, not only
-#: the exact ones.
+#: about 1e-16 and the roots _beta_root returns lie within about 1e-13
+#: relative of the exact ones, so the widened brackets contain the
+#: computed bounds, not only the exact ones.
 _BRACKET_SLACK = 1e-9
 
-#: Newton steps per KL end in _kl_brackets, and the relative margin by
-#: which they aim past their levels, so that a converged step still
-#: passes its check.
+#: Newton steps per KL end in _kl_outer and _kl_inner, and the relative
+#: margin by which they aim past their levels, so that a converged step
+#: still passes its check.
 _KL_STEPS = 2
 _KL_AIM = 1e-10
 
@@ -213,24 +246,20 @@ def _kl_terms(z, m, delta, upper):
     return zf, mf, q, -math.log(delta) / mf, h, (zu > 0) & (zu < m), exact
 
 
-def _kl_brackets(z, m, delta, lo, hi, upper):
-    """Tighten one side's cp_brackets ends (lo, hi) to the KL roots.
+def _kl_outer(z, m, delta, outer, upper):
+    """Tighten one side's cp_brackets outer end to its Chernoff root.
 
-    With q = z/m and t = log(1/delta), cp_upper(z, m, delta) lies between
-    two roots p > q of m KL(q || p) = level:
-
-    - outer end, level t: Chernoff gives P(Bin(m, p) <= z) <=
-      exp(-m KL(q || p)) for p > q, so beyond the root the CDF is < delta.
-      From _kl_start, Newton steps on the convex, increasing KL stay above
-      the root; they aim at t (1 + _KL_AIM) so a converged step passes.
-    - inner end, level c: _kl_inner.
-
-    At z = 0 both ends are the exact bound 1 - delta^(1/m). Each end is
-    checked by one KL evaluation; one that fails, or is NaN, falls back to
-    the cp_brackets end, as do all ends at z = m. upper=False refines the
-    lower side through cp_lower(z, m) = 1 - cp_upper(m - z, m). Ends are
-    widened by _BRACKET_SLACK and returned as (lo, hi), each inside the
-    given one.
+    outer is upper_hi (upper=True) or lower_lo (upper=False). With q = z/m
+    and t = log(1/delta), Chernoff gives P(Bin(m, p) <= z) <=
+    exp(-m KL(q || p)) for p > q, so beyond the root p > q of
+    m KL(q || p) = t the CDF is < delta and p is above cp_upper(z, m,
+    delta). From _kl_start, Newton steps on the convex, increasing KL stay
+    above the root; they aim at t (1 + _KL_AIM) so a converged step
+    passes. At z = 0 the end is the exact bound 1 - delta^(1/m). The end
+    is checked by one KL evaluation; one that fails, or is NaN, falls back
+    to the cp_brackets end, as does the end at z = m. upper=False refines
+    the lower side through cp_lower(z, m) = 1 - cp_upper(m - z, m). The
+    end is widened by _BRACKET_SLACK and returned inside the given one.
     """
     _, _, q, t, h, mid, exact = _kl_terms(z, m, delta, upper)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -240,8 +269,8 @@ def _kl_brackets(z, m, delta, lo, hi, upper):
             p = _kl_newton(q, p, _kl(q, p), level)
         out = np.where(mid & (p > q) & (_kl(q, p) >= t), p, exact)
     if upper:
-        return _kl_inner(z, m, delta, lo, True), np.fmin(hi, out + _BRACKET_SLACK)
-    return np.fmax(lo, (1.0 - out) - _BRACKET_SLACK), _kl_inner(z, m, delta, hi, False)
+        return np.fmin(outer, out + _BRACKET_SLACK)
+    return np.fmax(outer, (1.0 - out) - _BRACKET_SLACK)
 
 
 def _kl_inner(z, m, delta, inner, upper):
@@ -254,7 +283,7 @@ def _kl_inner(z, m, delta, inner, upper):
     wherever m KL <= c. Each step is a Newton step on an outer point and a
     false-position chord from the last inner point (q or the cp_brackets
     end at first); a chord of a convex function lands inside the root. The
-    end is checked by one KL evaluation and falls back as in _kl_brackets;
+    end is checked by one KL evaluation and falls back as in _kl_outer;
     it is widened by _BRACKET_SLACK and returned inside the given one.
     """
     zf, mf, q, t, h, mid, exact = _kl_terms(z, m, delta, upper)
@@ -278,54 +307,366 @@ def _kl_inner(z, m, delta, inner, upper):
     return np.fmin(inner, (1.0 - inn) + _BRACKET_SLACK)
 
 
-def _bisect_betainc(a, b, p, lo, hi):
-    """Largest x found in [lo, hi] with betainc(a, b, x) < p, elementwise.
+# --------------------------------------------------------------------------
+# The binomial tail I_x(a, m - a + 1) = P(Bin(m, x) >= a) in log space, and
+# its inverse.
 
-    Bisects down to adjacent floats. Returning the low end rounds the root
-    down, which is outward for both sides of cp_bounds_batch. A betainc of
-    0 is scipy underflowing (the tail is positive inside the bracket), so
-    it does not count as below p: the bisection then stops at the outer
-    end instead of the inner one.
+def _stirlerr(n):
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n), elementwise, for integer n >= 0.
+
+    Loader's table up to 15 (0 at n = 0), the Stirling series above.
     """
-    from scipy import special as _sps
+    nn = n * n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        series = (
+            1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn
+        ) / n
+    return np.where(n <= 15.0, _STIRLERR[np.minimum(n, 15.0).astype(np.intp)], series)
 
+
+def _bd0(x, mu):
+    """x log(x/mu) + mu - x without cancellation, elementwise (Loader).
+
+    Near x = mu, with v = (x - mu)/(x + mu), it is (x - mu) v + 2 x (v^3/3 +
+    v^5/5 + ...), summed to v^17; elsewhere x log1p((x - mu)/mu) - (x - mu).
+    """
+    d = x - mu
+    v = d / (x + mu)
+    v2 = v * v
+    p = _BD0_SERIES[0]
+    for c in _BD0_SERIES[1:]:
+        p = p * v2 + c
+    near = d * v + 2.0 * x * v * v2 * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = x * np.log1p(d / mu) - d
+    return np.where(np.abs(v) < 0.1, near, far)
+
+
+def _betacf(a, b, x):
+    """The continued fraction of I_x(a, b), elementwise (modified Lentz).
+
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) times it; it converges fast for
+    x below (a+1)/(a+b+2). Returns the values and the iterations each
+    took. Each entry's value is the one at its own convergence, whatever
+    else its batch holds, so a bound never depends on the pairs bounded
+    with it. NaN, after _CF_MAXITER iterations, where it does not
+    converge.
+    """
+    n = x.shape[0]
+    out = np.full(n, np.nan)
+    iters = np.full(n, _CF_MAXITER)
+    idx = np.arange(n)
+    live = np.ones(n, dtype=bool)
+    n_live = n
+    apb = a + b
+    c = np.ones(n)
+    d = 1.0 / (1.0 - apb * x / (a + 1.0))
+    h = d
+    for k in range(1, _CF_MAXITER + 1):
+        ak2 = a + 2.0 * k
+        sq = ak2 * ak2
+        e = (k * x) * (b - k) / (sq - ak2)
+        d = 1.0 / (1.0 + e * d)
+        c = 1.0 + e / c
+        h = h * (d * c)
+        e = x * (a + k) * (apb + k) / (sq + ak2)
+        d = 1.0 / (1.0 - e * d)
+        c = 1.0 - e / c
+        step = d * c
+        h = h * step
+        conv = live & (np.abs(step - 1.0) < _CF_EPS)
+        if conv.any():
+            out[idx[conv]] = h[conv]
+            iters[idx[conv]] = k
+            live &= ~conv
+            n_live -= int(np.count_nonzero(conv))
+            if not n_live:
+                break
+            if n_live < idx.shape[0] // 2:
+                idx, a, b, x, c, d, h, apb, live = (
+                    v[live] for v in (idx, a, b, x, c, d, h, apb, live)
+                )
+    return out, iters
+
+
+def _betacf_to(a, b, x, depth):
+    """_betacf's fraction cut after depth[i] iterations, summed from the tail.
+
+    With depth from _betacf at a nearby x plus a margin, this is the same
+    fraction for about half the work and without Lentz's running product,
+    whose rounding reaches 2e-14 for large a near x = 1. Entries are
+    taken deepest first, so each one's terms depend on it alone.
+    """
+    order = np.argsort(-depth, kind="stable")
+    a, b, x, depth = a[order], b[order], x[order], depth[order]
+    apb = a + b
+    t = np.zeros(x.shape[0])
+    # live[k] entries, a prefix, reach at least k iterations
+    live = np.searchsorted(-depth, -np.arange(int(depth[0]) + 1), side="right")
+    for k in range(int(depth[0]), 0, -1):
+        n = live[k]
+        ak, xk, tk = a[:n], x[:n], t[:n]
+        ak2 = ak + 2.0 * k
+        sq = ak2 * ak2
+        tk = -(xk * (ak + k) * (apb[:n] + k) / (sq + ak2)) / (1.0 + tk)
+        t[:n] = ((k * xk) * (b[:n] - k) / (sq - ak2)) / (1.0 + tk)
+    out = np.empty(x.shape[0])
+    out[order] = 1.0 / (1.0 - (apb * x / (a + 1.0)) / (1.0 + t))
+    return out
+
+
+def _head_sum(a, m, x):
+    """P(Bin(m, x) <= a - 1) / P(Bin(m, x) = a - 1), elementwise.
+
+    Sums the pmf downward from a - 1, each term the last times
+    k (1 - x) / ((m - k + 1) x); for x above the mean the terms fall, and
+    each entry stops at its own convergence or after a terms.
+    """
+    n = x.shape[0]
+    out = np.empty(n)
+    idx = np.arange(n)
+    odds = (1.0 - x) / x
+    term = np.ones(n)
+    total = np.ones(n)
+    j = 0
+    while True:
+        j += 1
+        term = term * ((a - j) * odds / (m - a + j + 1.0))
+        total = total + term
+        conv = ~(term > _CF_EPS * total)
+        if conv.any():
+            out[idx[conv]] = total[conv]
+            keep = ~conv
+            if not keep.any():
+                return out
+            idx, a, m, odds, term, total = (v[keep] for v in (idx, a, m, odds, term, total))
+
+
+class _Tail:
+    """log P(Bin(m, x) >= a) = log I_x(a, r + 1), r = m - a, over arrays.
+
+    The binomial pmf at a is Loader's saddle-point form: the Stirling
+    remainders of m, a and r, fixed per entry, less two _bd0 terms. It
+    has no cancellation, where lgamma(m+1) - lgamma(a+1) - lgamma(r+1)
+    would lose 2e-10 at m = 2e5. The tail is that pmf times (1 - x) times
+    _betacf below (a+1)/(m+3), and above it one minus the mirrored tail
+    J = P(Bin(m, x) <= a - 1), by _betacf on the mirrored law or, where
+    b > a, by _head_sum.
+    """
+
+    def __init__(self, a, m):
+        self.a, self.m, self.r = a, m, m - a
+        with np.errstate(divide="ignore"):
+            lf = _LN_2PI + np.log(a) + np.log1p(-a / m)
+        # at r = 0 the pmf is x^m, and the constant is not used
+        self.const = np.where(
+            self.r > 0.0, _stirlerr(m) - _stirlerr(a) - _stirlerr(self.r) - 0.5 * lf, 0.0
+        )
+
+    def take(self, keep):
+        t = _Tail.__new__(_Tail)
+        t.a, t.m, t.r, t.const = self.a[keep], self.m[keep], self.r[keep], self.const[keep]
+        return t
+
+    def log_pmf(self, x):
+        """log P(Bin(m, x) = a)."""
+        a, m, r = self.a, self.m, self.r
+        lp = self.const - _bd0(a, m * x) - _bd0(r, m * (1.0 - x))
+        return np.where(r == 0.0, m * np.log(x), lp)
+
+    def log_c(self):
+        """log C(m, a): log_pmf at x = a/m less its powers of x and 1 - x."""
+        a, m, r = self.a, self.m, self.r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_c = self.const - a * np.log(a / m) - r * np.log(r / m)
+        return np.where(r > 0.0, log_c, 0.0)
+
+    def eval(self, x, depth):
+        """(log I_x, its slope in u = log x, a bound on the error of log I, depth).
+
+        The slope is a pmf(a) / I. The error bound is an ulp of the sum of
+        the magnitudes of the terms that make up log I, or of the mirrored
+        tail J's logarithm, scaled by J / (1 - J), above the switch. Where
+        depth is positive the fraction is cut there (_betacf_to); elsewhere
+        _betacf runs, and the returned depth is its iterations plus 2.
+        """
+        a, b = self.a, self.r + 1.0
+        lp = self.log_pmf(x)
+        lq = np.log1p(-x)
+        flip = x > (a + 1.0) / (self.m + 3.0)
+        mirrored = flip.any()
+        if mirrored:
+            h, iters = _betacf(
+                np.where(flip, b, a), np.where(flip, a, b), np.where(flip, 1.0 - x, x)
+            )
+            depth = np.where(flip | (iters == _CF_MAXITER), 0, iters + 2)
+            # the mirrored fraction, in 1 - x, cancels by about
+            # b / (m x - a + 1): with b > a, J is summed from its largest term
+            head = flip & (b > a)
+            if head.any():
+                h[head] = _head_sum(a[head], self.m[head], x[head]) / x[head]
+        else:
+            h, depth = self.fraction(a, b, x, depth)
+        h = np.log(h)
+        log_i = lp + lq + h
+        err = (2.0 * np.abs(self.const) - lp - lq + np.abs(h)) * 2.0**-52
+        if mirrored:
+            log_i = np.where(flip, np.log1p(-np.exp(log_i + np.log(a / b))), log_i)
+            # log1p(-J) takes J's relative error times J / (1 - J)
+            err = np.where(flip, err * np.expm1(-log_i), err)
+        return log_i, a * np.exp(lp - log_i), err, depth
+
+    @staticmethod
+    def fraction(a, b, x, depth):
+        """_betacf where depth is 0, _betacf_to elsewhere; (values, depth)."""
+        h = np.empty(x.shape[0])
+        cut = depth > 0
+        if cut.any():
+            h[cut] = _betacf_to(a[cut], b[cut], x[cut], depth[cut])
+        if not cut.all():
+            run = ~cut
+            depth = depth.copy()
+            h[run], iters = _betacf(a[run], b[run], x[run])
+            depth[run] = np.where(iters < _CF_MAXITER, iters + 2, 0)
+        return h, depth
+
+    def step(self, f, s, x, order):
+        """Root in u of the Taylor polynomial of log I - log delta at x.
+
+        f is log I - log delta at x and s its first derivative. With
+        g = log(x * density) = a u + r log(1 - x) + const, s = exp(g - log I),
+        so s' = s (g' - s) and every higher derivative follows from s and
+        those of g. order 2 is the quadratic's root; order 5 refines it by
+        one Newton step on the quintic.
+        """
+        a, r = self.a, self.r
+        q = x / (1.0 - x)
+        g1 = a - r * q
+        l2 = s * (g1 - s)
+        step = -2.0 * f / (s + np.sqrt(np.maximum(s * s - 2.0 * l2 * f, 0.0)))
+        if order == 2:
+            return step
+        g2 = -r * q / (1.0 - x)
+        g3 = g2 * (1.0 + x) / (1.0 - x)
+        g4 = -r * q * (1.0 + x * (4.0 + x)) / (1.0 - x) ** 3
+        l3 = l2 * (g1 - s) + s * (g2 - l2)
+        l4 = l3 * (g1 - s) + 2.0 * l2 * (g2 - l2) + s * (g3 - l3)
+        l5 = l4 * (g1 - s) + 3.0 * l3 * (g2 - l2) + 3.0 * l2 * (g3 - l3) + s * (g4 - l4)
+        p = f + step * (s + step * (l2 / 2 + step * (l3 / 6 + step * (l4 / 24 + step * l5 / 120))))
+        dp = s + step * (l2 + step * (l3 / 2 + step * (l4 / 6 + step * l5 / 24)))
+        return step - p / dp
+
+
+def _beta_root(a, m, delta, lo, hi):
+    """Largest x found with I_x(a, m - a + 1) <= delta, for 1 <= a <= m.
+
+    lo and hi bracket the root: lo on its left, hi on its right. The
+    search starts at the larger of lo and the union bound's root (I <=
+    C(m, a) x^a), which one step on a closed-form approximation of
+    I / pmf(a) brings to within about 1e-5 of the root. Each later step
+    evaluates log I (_Tail.eval; after the first, the continued fraction
+    is cut at the depth the first one needed) and moves to the root of
+    its quintic Taylor polynomial in log x, or Newton's where that leaves
+    (lo, hi), or the midpoint. A point whose log I plus its error bound
+    is <= log delta becomes lo, any other hi. The steps aim a little left
+    of the root, so the second evaluation lands on that side within the
+    tolerance almost always. The returned x is the last lo: on the
+    root's left by its own evaluation, or lo as given.
+    """
+    a = a.astype(np.float64)
+    m = m.astype(np.float64)
+    log_delta = math.log(delta)
+    tail = _Tail(a, m)
     lo = np.clip(lo, 0.0, 1.0)
     hi = np.clip(hi, 0.0, 1.0)
-    while True:
-        mid = 0.5 * (lo + hi)
-        open_ = (lo < mid) & (mid < hi)
-        if not open_.any():
-            return lo
-        v = _sps.betainc(a, b, mid)
-        below = (v < p) & (v > 0.0)
-        lo = np.where(open_ & below, mid, lo)
-        hi = np.where(open_ & ~below, mid, hi)
+    out = lo.copy()
+    idx = np.arange(a.shape[0])
+    with np.errstate(all="ignore"):
+        x = np.minimum(np.maximum(lo, np.exp((log_delta - tail.log_c()) / a)), hi)
+        # one step on log pmf(a) + log(I / pmf(a)), the latter from the
+        # tail's ratios t_{a+i} ~ t e^(-i kappa): 1/(1-t) - kappa t^2/(1-t)^3
+        r = tail.r
+        t = r * x / ((a + 1.0) * (1.0 - x))
+        w = t / (1.0 - t)
+        ls = np.log1p(-np.minimum((1.0 / r + 1.0 / (a + 1.0)) * w * w, 0.5)) - np.log1p(-t)
+        f = tail.log_pmf(x) + ls - log_delta
+        x_new = x * np.exp(tail.step(f, a * np.exp(-ls), x, 2))
+        x = np.where((t < 1.0) & (x_new > lo) & (x_new < hi), x_new, x)
+        depth = np.zeros(x.shape[0], dtype=np.int64)
+        x_cf = x
+        for _ in range(_ROOT_STEPS):
+            # a fraction's depth holds within 1e-3 of where _betacf found it
+            depth = np.where(np.abs(x - x_cf) < 1e-3 * x_cf, depth, 0)
+            log_i, s, err, new_depth = tail.eval(x, depth)
+            x_cf = np.where(depth > 0, x_cf, x)
+            depth = new_depth
+            # a point counts as left only with its error bound added
+            f = log_i - log_delta + err
+            lo = np.where(f <= 0.0, x, lo)
+            hi = np.where(f > 0.0, x, hi)
+            # relative to x, or near 1 to 1 - x (an upper bound is 1 minus
+            # a root), but at least 3 ulps of x; widened by the error of f
+            rel = _ROOT_TOL * np.minimum(1.0, (1.0 - x) / x)
+            tol = np.fmin(np.maximum(rel, 3.0 * np.spacing(x) / x) + _WIN * err / s, 2.0**-20)
+            done = (f <= 0.0) & (-f <= s * tol)
+            # aim a little left of the root: the Taylor root, else Newton's,
+            # which log-concavity of I in log x keeps left of its aim, else
+            # the bracket's midpoint
+            f = f + _AIM * s * tol
+            x_new = x + x * np.expm1(tail.step(f, s, x, 5))
+            out_lo, out_hi = lo * (1.0 - 4.0 * tol), hi * (1.0 + 4.0 * tol)
+            stray = ~((x_new > out_lo) & (x_new < out_hi))
+            if stray.any():
+                newton = x + x * np.expm1(-f / s)
+                newton = np.where((newton > out_lo) & (newton < out_hi), newton, 0.5 * (lo + hi))
+                x_new = np.where(stray, newton, x_new)
+            x_new = np.clip(x_new, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0))
+            done |= ~(hi > lo * (1.0 + tol))
+            out[idx] = lo
+            if done.all():
+                break
+            keep = ~done
+            idx, lo, hi, x = idx[keep], lo[keep], hi[keep], x_new[keep]
+            depth, x_cf = depth[keep], x_cf[keep]
+            tail = tail.take(keep)
+    return out
+
+
+def _lower_bounds(z, m, delta):
+    """cp_lower over integer arrays, by _beta_root from the _kl_outer end.
+
+    The closed-form inner end bounds the search on the other side; the
+    solver only needs it as a guard, so it is not tightened.
+    """
+    lower_lo, lower_hi, _, _ = cp_brackets(z, m, delta)
+    lo = _kl_outer(z, m, delta, lower_lo, False)
+    out = np.zeros(z.shape)
+    mid = z > 0
+    if mid.any():
+        out[mid] = _beta_root(z[mid], m[mid], delta, lo[mid], lower_hi[mid])
+    return out
 
 
 def cp_bounds_batch(z, m, delta, lower_where=True, upper_where=True):
     """Vectorized (cp_lower, cp_upper) over integer arrays z and m.
 
-    The lower bound is qbeta(delta, z, m-z+1), 0 at z = 0; the upper bound
-    is 1 - qbeta(delta, m-z, z+1), 1 at z = m, the lower tail of the
-    swapped beta law, which keeps 1-delta out of the computation for
-    extreme corrections. Both go through scipy's compiled inverse
-    incomplete beta. Returns two float64 arrays.
+    The lower bound is the root x of I_x(z, m-z+1) = delta, 0 at z = 0;
+    the upper bound is 1 - w for the root w of I_w(m-z, z+1) = delta, 1 at
+    z = m: the lower tail of the swapped beta law, which keeps 1-delta
+    out of the computation for extreme corrections. Returns two float64
+    arrays.
 
     lower_where and upper_where select, like numpy's where=, which entries
     of each side to evaluate: a bool or a bool array broadcastable to z.
     Entries not selected are NaN.
 
-    Every evaluated bound lies inside its _kl_brackets bracket, hence
-    inside its cp_brackets bracket. betaincinv can miss its root by far
-    (scipy 1.17.1 puts the beta(9105, 1000) quantile at 0.05/500500 at
-    0.7495; the root is 0.8849, and it misses by 1e-3 to 2e-2 at delta
-    below about 1e-150), so a value outside its bracket is solved again by
-    bisection on betainc within the bracket and rounded outward.
+    An upper bound is 1 - cp_lower(m - z, m) rounded up, and both sides
+    go through one _beta_root call, each from its _kl_outer end.
+    Every root it returns is on the root's left by its own forward
+    evaluation of the tail, so both bounds are outward. Each bound
+    depends on its own (z, m, delta) only, not on the other entries of
+    its batch.
     """
-    # Imported here, not at module top: it is most of calband's import
-    # time, and `calband --version` or a usage error never needs it.
-    from scipy import special as _sps
-
     z = np.asarray(z, dtype=np.int64)
     m = np.asarray(m, dtype=np.int64)
     if z.shape != m.shape:
@@ -343,43 +684,18 @@ def cp_bounds_batch(z, m, delta, lower_where=True, upper_where=True):
     upper = np.full(z.shape, np.nan)
     sel_lo = np.broadcast_to(lower_where, z.shape)
     sel_up = np.broadcast_to(upper_where, z.shape)
-    lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
-    zf = z.astype(np.float64)
-    mf = m.astype(np.float64)
-
-    if sel_up.any():
-        zs, ms = zf[sel_up], mf[sel_up]
-        lo, hi = _kl_brackets(
-            z[sel_up], m[sel_up], delta, upper_lo[sel_up], upper_hi[sel_up], True
-        )
-        top = zs == ms
-        # Dummy shape 1.0 where z == m keeps betaincinv in-domain; overwritten.
-        a, b = np.where(top, 1.0, ms - zs), zs + 1.0
-        up = 1.0 - _sps.betaincinv(a, b, delta)
-        bad = ~top & ~((up >= lo) & (up <= hi))
-        if bad.any():
-            w = _bisect_betainc(a[bad], b[bad], delta, 1.0 - hi[bad], 1.0 - lo[bad])
-            up[bad] = np.clip(
-                np.nextafter(1.0 - w, 2.0), lo[bad], np.minimum(hi[bad], 1.0)
-            )
-        up[top] = 1.0
-        upper[sel_up] = up
-
-    if sel_lo.any():
-        zs, ms = zf[sel_lo], mf[sel_lo]
-        lo, hi = _kl_brackets(
-            z[sel_lo], m[sel_lo], delta, lower_lo[sel_lo], lower_hi[sel_lo], False
-        )
-        zero = zs == 0.0
-        a, b = np.where(zero, 1.0, zs), ms - zs + 1.0
-        low = _sps.betaincinv(a, b, delta)
-        bad = ~zero & ~((low >= lo) & (low <= hi))
-        if bad.any():
-            w = _bisect_betainc(a[bad], b[bad], delta, lo[bad], hi[bad])
-            low[bad] = np.clip(w, lo[bad], hi[bad])
-        low[zero] = 0.0
-        lower[sel_lo] = low
-
+    # both sides in one solve: cp_upper(z, m) is 1 - cp_lower(m - z, m)
+    n_lo = int(np.count_nonzero(sel_lo))
+    roots = _lower_bounds(
+        np.concatenate((z[sel_lo], m[sel_up] - z[sel_up])),
+        np.concatenate((m[sel_lo], m[sel_up])),
+        delta,
+    )
+    lower[sel_lo] = roots[:n_lo]
+    w = roots[n_lo:]
+    u = 1.0 - w
+    # 1 - u is exact, so this compares u with 1 - w exactly
+    upper[sel_up] = np.where(1.0 - u > w, np.nextafter(u, 2.0), u)
     return lower, upper
 
 

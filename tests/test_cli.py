@@ -887,29 +887,49 @@ def test_module_invocation_matches_script():
     assert out.stdout.strip() == "calband 0.1.0"
 
 
-def test_scipy_special_is_imported_only_to_bound_pairs():
-    # scipy.special is most of calband's import time; --version and usage
-    # errors must not pay for it.
-    script = """
+_WITHOUT_SCIPY = """
 import sys
+
+
+class NoScipy:
+    # scipy cannot be found, as if it were not installed
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}")
+        return None
+
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
 from calband.cli import main
-assert "scipy.special" not in sys.modules, "import"
-try:
-    main(["--version"])
-except SystemExit as exc:
-    assert exc.code == 0
-assert "scipy.special" not in sys.modules, "--version"
-assert main(["band"]) == 1
-assert main(["band", sys.argv[1], "--alpha", "2"]) == 1
-assert "scipy.special" not in sys.modules, "usage error"
-assert main(["band", sys.argv[1], "--output", sys.argv[2]]) == 0
-assert "scipy.special" in sys.modules
+
+code = main(sys.argv[2:])
+assert "scipy" not in sys.modules
+sys.exit(code)
 """
+
+
+def test_band_and_simulate_run_without_scipy():
+    # scipy is a test dependency only: with it unimportable, band (both
+    # index families, every method) and simulate print what they print
+    # with it installed, and neither run imports it
     env = dict(os.environ)
     env["PYTHONPATH"] = str(pathlib.Path(calband.__file__).parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-c", script, str(DATA / "demo_small.csv"), os.devnull],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "calband 0.1.0"
+    runs = [
+        ["band", str(DATA / "demo_small.csv"), "--index-family", family, "--method", method]
+        for family in ("rounded", "full")
+        for method in ("raw", "nc", "yb")
+    ]
+    runs.append(["simulate", "--family", "sshaped", "--s", "0.5", "--n", "200", "--reps", "3"])
+    for argv in runs:
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", _WITHOUT_SCIPY, mode, *argv],
+                capture_output=True, env=env,
+            )
+            for mode in ("block", "open")
+        ]
+        for out in outs:
+            assert out.returncode == 0, out.stderr.decode()
+        assert outs[0].stdout == outs[1].stdout, argv
+        assert outs[0].stdout.startswith(b"{")

@@ -108,6 +108,16 @@ def test_pava_pools_single_violation():
     assert fit.n_blocks == 1
 
 
+def test_group_levels_is_built_once_and_read_only():
+    # the nc repair and the CLI's isotonic_fit read one shared array
+    fit = pava(_data([0.1, 0.2, 0.3, 0.4, 0.5], [1, 0, 0, 1, 1]))
+    levels = fit.group_levels()
+    assert fit.group_levels() is levels
+    assert not levels.flags.writeable
+    reps = fit.block_ends - fit.block_starts + 1
+    np.testing.assert_array_equal(levels, np.repeat(fit.levels, reps))
+
+
 def test_pava_ties_share_one_fitted_value():
     # tied covariates are pooled before any ordering is considered
     fit = pava(_data([0.5, 0.5, 0.5], [1, 0, 1]))

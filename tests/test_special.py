@@ -1,5 +1,6 @@
 """Checks for the beta/binomial special functions and confidence bounds."""
 
+import decimal
 import math
 
 import numpy as np
@@ -16,8 +17,8 @@ from _reference import (
 from calband.special import (
     DELTA_FLOOR,
     _inner_ends,
-    _kl_brackets,
     _kl_inner,
+    _kl_outer,
     chi2_survival,
     cp_bounds_batch,
     cp_brackets,
@@ -134,19 +135,135 @@ def test_beta_quantile_forward_roundtrip():
             assert abs(tail - delta) <= 1e-10
 
 
+def _scipy_agrees(z, m, delta):
+    """scipy's roots of I_x(z, m - z + 1) = delta, and where scipy confirms them.
+
+    scipy's own betainc at its root must give back delta to 1e-13;
+    elsewhere betaincinv misses (it is 1.9e-12 too high at (36, 40, 1e-300)
+    by an exact binomial sum) and says nothing.
+    """
+    a = z.astype(np.float64)
+    b = (m - z + 1).astype(np.float64)
+    with np.errstate(all="ignore"):
+        root = sps.betaincinv(a, b, delta)
+        ok = (z > 0) & (np.abs(sps.betainc(a, b, root) / delta - 1.0) < 1e-13)
+    return root, ok
+
+
 def test_beta_quantile_matches_scipy():
-    # inside its bracket the batch route returns betaincinv's value itself
+    # within 1e-12 relative of scipy's betaincinv wherever scipy's own
+    # forward check confirms its root, from delta > 1/2 down to the floor
+    # and for lopsided counts up to m = 2e5; scipy is test-only
     rng = np.random.default_rng(29)
-    m = rng.integers(1, 500, size=400)
-    z = np.minimum((rng.random(400) * (m + 1)).astype(np.int64), m)
-    for delta in (0.3, 0.05 / 780.0, 1e-9):
+    ms = np.concatenate([rng.integers(1, 500, size=200), [1000, 10104, 50000, 200000]])
+    z_parts, m_parts = [], []
+    for m in ms.tolist():
+        z = np.array([0, 1, 2, m // 3, m // 2, m - 2, m - 1, m, int(rng.integers(0, m + 1))])
+        z = np.unique(z[(z >= 0) & (z <= m)])
+        z_parts.append(z)
+        m_parts.append(np.full(z.shape, m))
+    z, m = np.concatenate(z_parts), np.concatenate(m_parts)
+    checked = 0
+    for delta in (0.999, 0.9, 0.6, 0.3, 0.05 / 780.0, 1e-9, 1e-30, 1e-100, 1e-200, DELTA_FLOOR):
         lo, up = cp_bounds_batch(z, m, delta)
-        inner = z > 0
-        want = sps.betaincinv(z[inner], m[inner] - z[inner] + 1, delta)
-        np.testing.assert_array_equal(lo[inner], want)
-        inner = z < m
-        want = 1.0 - sps.betaincinv(m[inner] - z[inner], z[inner] + 1, delta)
-        np.testing.assert_array_equal(up[inner], want)
+        root, ok = _scipy_agrees(z, m, delta)
+        np.testing.assert_allclose(lo[ok], root[ok], rtol=1e-12, atol=0)
+        checked += int(ok.sum())
+        # the upper bound is 1 - the root for m - z; compare it on the
+        # scale of the smaller of the two, down to an ulp of 1
+        root, ok = _scipy_agrees(m - z, m, delta)
+        want = 1.0 - root[ok]
+        slack = 1e-12 * np.minimum(root[ok], want) + 2.0**-52
+        assert (np.abs(up[ok] - want) <= slack).all()
+        checked += int(ok.sum())
+    assert checked > 25000
+
+
+def test_cp_bounds_batch_is_batch_independent():
+    # a bound depends on its own (z, m, delta) only: the full batch, a
+    # shuffled one, subsets and single entries give the same bits
+    rng = np.random.default_rng(131)
+    m = np.concatenate([rng.integers(1, 3000, size=300), [1, 2, 200000, 200000]])
+    z = np.minimum((rng.random(m.size) * (m + 1)).astype(np.int64), m)
+    z[-2:] = [1, 199999]
+    side = rng.random(m.size) < 0.5
+    for delta in (0.9, 0.05, 1e-7, 1e-40, 1e-300):
+        lo, up = cp_bounds_batch(z, m, delta)
+        perm = rng.permutation(m.size)
+        lo_p, up_p = cp_bounds_batch(z[perm], m[perm], delta)
+        np.testing.assert_array_equal(lo_p, lo[perm])
+        np.testing.assert_array_equal(up_p, up[perm])
+        lo_s, up_s = cp_bounds_batch(z, m, delta, lower_where=side, upper_where=~side)
+        np.testing.assert_array_equal(lo_s[side], lo[side])
+        np.testing.assert_array_equal(up_s[~side], up[~side])
+        for part in np.array_split(perm, 7):
+            lo_k, up_k = cp_bounds_batch(z[part], m[part], delta)
+            np.testing.assert_array_equal(lo_k, lo[part])
+            np.testing.assert_array_equal(up_k, up[part])
+        for i in perm[:25].tolist():
+            assert cp_lower(int(z[i]), int(m[i]), delta) == lo[i]
+            assert cp_upper(int(z[i]), int(m[i]), delta) == up[i]
+
+
+def _decimal_tail(z, m, p, lower):
+    """P(Bin(m, p) >= z) (lower) or P(Bin(m, p) <= z) as a Decimal.
+
+    For lopsided counts only: it sums the short side, at most 3 terms, at
+    360 digits, so a tail written as 1 minus a sum keeps 40 digits down
+    to 1e-300.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 360
+        p = decimal.Decimal(p)
+        q = 1 - p
+
+        def pmf(k):
+            # 0 ** 0 is 1 here, as in the binomial law at p = 0 or 1
+            return math.comb(m, k) * (p**k if k else 1) * (q ** (m - k) if m - k else 1)
+
+        if lower:  # P(X >= z) = 1 - P(X <= z - 1) or the sum above z
+            if z <= 3:
+                return 1 - sum(pmf(k) for k in range(z))
+            return sum(pmf(k) for k in range(z, m + 1))
+        if z >= m - 3:
+            return 1 - sum(pmf(k) for k in range(z + 1, m + 1))
+        return sum(pmf(k) for k in range(z + 1))
+
+
+def test_cp_bounds_are_outward_by_exact_tails():
+    # the tail at every bound is at most delta: in decimal arithmetic for
+    # lopsided counts up to m = 2e5, by the lgamma log-sum-exp tail
+    # (good to about 1e-12 here) for the rest; the bounds are also tight:
+    # a little inward the tail exceeds delta
+    for delta in (0.9, 0.3, 1e-7, 1e-60, 1e-300):
+        d = decimal.Decimal(delta)
+        for m in (2, 3, 40, 1000, 200000):
+            for z in sorted({1, 2, m - 1}):
+                lo, up = cp_bounds_batch(np.array([z]), np.array([m]), delta)
+                assert _decimal_tail(z, m, lo[0], True) <= d
+                assert _decimal_tail(z, m, lo[0] * (1.0 + 1e-12), True) > d
+                if z < m:
+                    assert _decimal_tail(z, m, up[0], False) <= d
+                    # an upper bound is 1 minus a root, so it is known to
+                    # a few ulps of 1 besides
+                    inward = up[0] - 1e-12 * min(up[0], 1.0 - up[0]) - 2.0**-49
+                    assert _decimal_tail(z, m, inward, False) > d
+    rng = np.random.default_rng(137)
+    m = rng.integers(1, 200, size=60)
+    z = np.minimum((rng.random(60) * (m + 1)).astype(np.int64), m)
+    for delta in (0.9, 0.05, 1e-9, 1e-100, 1e-300):
+        lo, up = cp_bounds_batch(z, m, delta)
+        log_d = math.log(delta)
+        for zi, mi, low, upp in zip(z.tolist(), m.tolist(), lo.tolist(), up.tolist()):
+            if zi > 0:
+                # P(Bin(m, p) >= z) is P(Bin(m, 1 - p) <= m - z); the
+                # mirror goes through log(p) exactly, not through 1 - p
+                assert _log_binom_cdf(mi - zi, mi, low, mirror=True) <= log_d + 1e-12
+                inward = low * (1.0 + 1e-10)
+                assert _log_binom_cdf(mi - zi, mi, inward, mirror=True) > log_d
+            if zi < mi:
+                assert _log_binom_cdf(zi, mi, upp) <= log_d + 1e-12
+                assert _log_binom_cdf(zi, mi, upp * (1.0 - 1e-10)) > log_d
 
 
 def test_beta_quantile_domain_errors():
@@ -226,11 +343,15 @@ def test_cp_inversion_oracle_grid():
 
 
 def test_cp_duality_bit_exact():
-    # cp_upper(m-z) is 1 minus the same betaincinv value cp_lower(z) returns
-    for delta in (0.3, 0.05, 1e-4, 1e-12):
+    # cp_upper(m-z) is 1 minus the root cp_lower(z) returns, rounded up:
+    # the smallest double at or above it
+    for delta in (0.9, 0.3, 0.05, 1e-4, 1e-12):
         for m in (1, 2, 3, 7, 19, 64):
             for z in range(0, m + 1):
-                assert cp_upper(m - z, m, delta) == 1.0 - cp_lower(z, m, delta)
+                w = cp_lower(z, m, delta)
+                u = 1.0 - w
+                want = u if 1.0 - u <= w else math.nextafter(u, 2.0)
+                assert cp_upper(m - z, m, delta) == want
 
 
 def test_cp_monotonicity():
@@ -279,14 +400,20 @@ def test_cp_brackets_contain_exact_bounds():
                     assert upper_lo[i] <= want <= upper_hi[i]
 
 
-def _log_binom_cdf(z, m, p):
-    """log P(Bin(m, p) <= z) by log-sum-exp over lgamma log-pmfs, no scipy."""
-    if p <= 0.0 or z >= m:
+def _log_binom_cdf(z, m, p, mirror=False):
+    """log P(Bin(m, p) <= z) by log-sum-exp over lgamma log-pmfs, no scipy.
+
+    mirror=True takes 1 - p for p, with log(1 - p) and log(p) exact.
+    """
+    q = p if mirror else 1.0 - p
+    if q >= 1.0 or z >= m:
         return 0.0
-    if p >= 1.0:
+    if q <= 0.0:
         return -math.inf
     lg = [math.lgamma(i + 1.0) for i in range(m + 1)]
-    lp, lq = math.log(p), math.log1p(-p)
+    lp, lq = math.log1p(-p), math.log(p)
+    if not mirror:
+        lp, lq = lq, lp
     terms = [lg[m] - lg[i] - lg[m - i] + i * lp + (m - i) * lq for i in range(z + 1)]
     top = max(terms)
     return top + math.log(math.fsum(math.exp(t - top) for t in terms))
@@ -305,8 +432,8 @@ def test_kl_brackets_hold_the_exact_bounds_without_scipy():
     for delta in (0.3, 0.05, 1e-7, 1e-30, 1e-100, 1e-200, 1e-300):
         log_d = math.log(delta)
         lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
-        up_lo, up_hi = _kl_brackets(z, m, delta, upper_lo, upper_hi, True)
-        lo_lo, lo_hi = _kl_brackets(z, m, delta, lower_lo, lower_hi, False)
+        up_lo, up_hi = _kl_inner(z, m, delta, upper_lo, True), _kl_outer(z, m, delta, upper_hi, True)
+        lo_lo, lo_hi = _kl_outer(z, m, delta, lower_lo, False), _kl_inner(z, m, delta, lower_hi, False)
         assert ((upper_lo <= up_lo) & (up_lo <= up_hi) & (up_hi <= upper_hi)).all()
         assert ((lower_lo <= lo_lo) & (lo_lo <= lo_hi) & (lo_hi <= lower_hi)).all()
         for i, (zi, mi) in enumerate(zip(z.tolist(), m.tolist())):
@@ -324,14 +451,12 @@ def test_kl_brackets_are_tighter_where_bands_prune():
     z = np.array([3, 50, 500, 9105, 20])
     m = np.array([40, 100, 1000, 10104, 8000])
     lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, 1e-7)
-    up_lo, up_hi = _kl_brackets(z, m, 1e-7, upper_lo, upper_hi, True)
-    lo_lo, lo_hi = _kl_brackets(z, m, 1e-7, lower_lo, lower_hi, False)
+    up_lo, up_hi = _kl_inner(z, m, 1e-7, upper_lo, True), _kl_outer(z, m, 1e-7, upper_hi, True)
+    lo_lo, lo_hi = _kl_outer(z, m, 1e-7, lower_lo, False), _kl_inner(z, m, 1e-7, lower_hi, False)
     assert (up_hi - up_lo < 0.5 * (upper_hi - upper_lo)).all()
     assert (lo_hi - lo_lo < 0.5 * (lower_hi - lower_lo)).all()
-    # the inner ends alone, closed-form and KL, are the ones of the brackets
+    # the closed-form inner ends alone are the ones of cp_brackets
     np.testing.assert_array_equal(_inner_ends(z, m, 1e-7), (lower_hi, upper_lo))
-    np.testing.assert_array_equal(_kl_inner(z, m, 1e-7, upper_lo, True), up_lo)
-    np.testing.assert_array_equal(_kl_inner(z, m, 1e-7, lower_hi, False), lo_hi)
 
 
 @pytest.mark.parametrize(
@@ -363,17 +488,29 @@ def test_cp_brackets_are_tight_where_they_prune():
 
 
 def test_cp_bounds_batch_corrects_silent_betaincinv_misses():
-    # scipy 1.17.1 returns 0.7495 for this quantile, where betainc is 0
+    # scipy 1.17.1 puts this quantile at 0.7495, where betainc is 0, and
+    # returns NaN for the 1e-300 tails below; the bounds here are roots of
+    # the binomial tail, outward by its exact value
     delta = 0.05 / 500500
     lo, up = cp_bounds_batch(np.array([9105]), np.array([10104]), delta)
-    assert abs(lo[0] - 0.884909307294384) <= 1e-12
-    assert sps.betainc(9105, 1000, lo[0]) <= delta
-    # betaincinv returns NaN at these tails; the bisection still roots them
+    assert lo[0] == pytest.approx(0.884909307294384, rel=1e-12, abs=0)
+    log_tail = _log_binom_cdf(10104 - 9105, 10104, lo[0], mirror=True)
+    assert log_tail <= math.log(delta) + 1e-10
     lo, up = cp_bounds_batch(np.array([2, 3]), np.array([5, 5]), 1e-300)
     assert lo[0] == pytest.approx(math.sqrt(1e-301), rel=1e-9, abs=0)
     assert cp_lower(2, 5, 1e-300) == lo[0]
     assert lo[1] == pytest.approx((1e-300 / 10.0) ** (1.0 / 3.0), rel=1e-9, abs=0)
     assert (up == 1.0).all()
+
+
+def test_far_tail_gaps_are_closed():
+    # (1 - 7e-16)^(1/10) is 1 - 7e-17, within an ulp of 1: rounded up to 1
+    assert cp_upper(9, 10, 7e-16) == 1.0
+    assert cp_lower(0, 10, 7e-16) == 0.0
+    # a 60-digit bisection on P(Bin(28, p) >= 19) = 1e-300 gives
+    # 7.088658325291097e-17; the bound is at or below it, within 1e-12
+    exact = 7.088658325291097e-17
+    assert exact * (1.0 - 1e-12) <= cp_lower(19, 28, 1e-300) <= exact
 
 
 def test_cp_validity_by_simulation():
