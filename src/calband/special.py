@@ -54,6 +54,11 @@ DELTA_FLOOR = 1e-300
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 _CF_MAXITER = 500
+#: _betacf makes its coefficients for up to _CF_ROWS iterations at a time,
+#: fewer for large batches, so that a block holds about _CF_BLOCK values;
+#: most fractions converge within 6 to 25 iterations.
+_CF_ROWS = 16
+_CF_BLOCK = 4096
 
 #: log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 0..15 (0 at n = 0), from
 #: 50-digit arithmetic; _stirlerr sums the Stirling series above 15.
@@ -317,10 +322,7 @@ def _stirlerr(n):
     Loader's table up to 15 (0 at n = 0), the Stirling series above.
     """
     nn = n * n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        series = (
-            1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn
-        ) / n
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
     return np.where(n <= 15.0, _STIRLERR[np.minimum(n, 15.0).astype(np.intp)], series)
 
 
@@ -332,29 +334,32 @@ def _bd0(x, mu):
     """
     d = x - mu
     v = d / (x + mu)
+    use_near = np.abs(v) < 0.1
+    n_near = np.count_nonzero(use_near)
+    if n_near < v.size:
+        far = x * np.log1p(d / mu) - d
+        if not n_near:
+            return far
     v2 = v * v
     p = _BD0_SERIES[0]
     for c in _BD0_SERIES[1:]:
         p = p * v2 + c
     near = d * v + 2.0 * x * v * v2 * p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        far = x * np.log1p(d / mu) - d
-    return np.where(np.abs(v) < 0.1, near, far)
+    return near if n_near == v.size else np.where(use_near, near, far)
 
 
 def _betacf(a, b, x):
     """The continued fraction of I_x(a, b), elementwise (modified Lentz).
 
     I_x(a, b) = x^a (1-x)^b / (a B(a, b)) times it; it converges fast for
-    x below (a+1)/(a+b+2). Returns the values and the iterations each
-    took. Each entry's value is the one at its own convergence, whatever
-    else its batch holds, so a bound never depends on the pairs bounded
-    with it. NaN, after _CF_MAXITER iterations, where it does not
-    converge.
+    x below (a+1)/(a+b+2). Each entry's value is the one at its own
+    convergence, whatever else its batch holds, so a bound never depends
+    on the pairs bounded with it. NaN, after _CF_MAXITER iterations, where
+    it does not converge. The coefficients are made a block of iterations
+    at a time, each by the same elementwise expression whatever the block.
     """
     n = x.shape[0]
     out = np.full(n, np.nan)
-    iters = np.full(n, _CF_MAXITER)
     idx = np.arange(n)
     live = np.ones(n, dtype=bool)
     n_live = n
@@ -362,56 +367,39 @@ def _betacf(a, b, x):
     c = np.ones(n)
     d = 1.0 / (1.0 - apb * x / (a + 1.0))
     h = d
-    for k in range(1, _CF_MAXITER + 1):
-        ak2 = a + 2.0 * k
+    k = 1
+    while n_live and k <= _CF_MAXITER:
+        # rows are iterations k .. k + width - 1, columns the entries
+        width = min(max(_CF_BLOCK // idx.shape[0], 1), _CF_ROWS, _CF_MAXITER + 1 - k)
+        kk = np.arange(k, k + width, dtype=np.float64)[:, None]
+        ak2 = a + 2.0 * kk
         sq = ak2 * ak2
-        e = (k * x) * (b - k) / (sq - ak2)
-        d = 1.0 / (1.0 + e * d)
-        c = 1.0 + e / c
-        h = h * (d * c)
-        e = x * (a + k) * (apb + k) / (sq + ak2)
-        d = 1.0 / (1.0 - e * d)
-        c = 1.0 - e / c
-        step = d * c
-        h = h * step
-        conv = live & (np.abs(step - 1.0) < _CF_EPS)
-        if conv.any():
-            out[idx[conv]] = h[conv]
-            iters[idx[conv]] = k
-            live &= ~conv
-            n_live -= int(np.count_nonzero(conv))
-            if not n_live:
-                break
-            if n_live < idx.shape[0] // 2:
-                idx, a, b, x, c, d, h, apb, live = (
-                    v[live] for v in (idx, a, b, x, c, d, h, apb, live)
-                )
-    return out, iters
-
-
-def _betacf_to(a, b, x, depth):
-    """_betacf's fraction cut after depth[i] iterations, summed from the tail.
-
-    With depth from _betacf at a nearby x plus a margin, this is the same
-    fraction for about half the work and without Lentz's running product,
-    whose rounding reaches 2e-14 for large a near x = 1. Entries are
-    taken deepest first, so each one's terms depend on it alone.
-    """
-    order = np.argsort(-depth, kind="stable")
-    a, b, x, depth = a[order], b[order], x[order], depth[order]
-    apb = a + b
-    t = np.zeros(x.shape[0])
-    # live[k] entries, a prefix, reach at least k iterations
-    live = np.searchsorted(-depth, -np.arange(int(depth[0]) + 1), side="right")
-    for k in range(int(depth[0]), 0, -1):
-        n = live[k]
-        ak, xk, tk = a[:n], x[:n], t[:n]
-        ak2 = ak + 2.0 * k
-        sq = ak2 * ak2
-        tk = -(xk * (ak + k) * (apb[:n] + k) / (sq + ak2)) / (1.0 + tk)
-        t[:n] = ((k * xk) * (b[:n] - k) / (sq - ak2)) / (1.0 + tk)
-    out = np.empty(x.shape[0])
-    out[order] = 1.0 / (1.0 - (apb * x / (a + 1.0)) / (1.0 + t))
+        even = (kk * x) * (b - kk) / (sq - ak2)
+        odd = x * (a + kk) * (apb + kk) / (sq + ak2)
+        for j in range(width):
+            e = even[j]
+            d = 1.0 / (1.0 + e * d)
+            c = 1.0 + e / c
+            h = h * (d * c)
+            e = odd[j]
+            d = 1.0 / (1.0 - e * d)
+            c = 1.0 - e / c
+            step = d * c
+            h = h * step
+            conv = live & (np.abs(step - 1.0) < _CF_EPS)
+            if np.count_nonzero(conv):
+                out[idx[conv]] = h[conv]
+                live &= ~conv
+                n_live -= int(np.count_nonzero(conv))
+                if not n_live:
+                    return out
+                if n_live < idx.shape[0] // 2:
+                    idx, a, b, x, c, d, h, apb = (
+                        v[live] for v in (idx, a, b, x, c, d, h, apb)
+                    )
+                    even, odd = even[:, live], odd[:, live]
+                    live = live[live]
+        k += width
     return out
 
 
@@ -429,17 +417,16 @@ def _head_sum(a, m, x):
     term = np.ones(n)
     total = np.ones(n)
     j = 0
-    while True:
+    while idx.shape[0]:
         j += 1
         term = term * ((a - j) * odds / (m - a + j + 1.0))
         total = total + term
         conv = ~(term > _CF_EPS * total)
-        if conv.any():
+        if np.count_nonzero(conv):
             out[idx[conv]] = total[conv]
             keep = ~conv
-            if not keep.any():
-                return out
             idx, a, m, odds, term, total = (v[keep] for v in (idx, a, m, odds, term, total))
+    return out
 
 
 class _Tail:
@@ -451,62 +438,67 @@ class _Tail:
     would lose 2e-10 at m = 2e5. The tail is that pmf times (1 - x) times
     _betacf below (a+1)/(m+3), and above it one minus the mirrored tail
     J = P(Bin(m, x) <= a - 1), by _betacf on the mirrored law or, where
-    b > a, by _head_sum.
+    b > a, by _head_sum. Its arithmetic meets 0/0, log(0) and overflow in
+    branches it then discards; _beta_root, which calls it, ignores the
+    warnings.
     """
+
+    _FIELDS = ("a", "m", "r", "b", "const", "switch")
 
     def __init__(self, a, m):
         self.a, self.m, self.r = a, m, m - a
-        with np.errstate(divide="ignore"):
-            lf = _LN_2PI + np.log(a) + np.log1p(-a / m)
+        self.b = self.r + 1.0
+        lf = _LN_2PI + np.log(a) + np.log1p(-a / m)
         # at r = 0 the pmf is x^m, and the constant is not used
         self.const = np.where(
             self.r > 0.0, _stirlerr(m) - _stirlerr(a) - _stirlerr(self.r) - 0.5 * lf, 0.0
         )
+        self.switch = (a + 1.0) / (m + 3.0)
 
     def take(self, keep):
         t = _Tail.__new__(_Tail)
-        t.a, t.m, t.r, t.const = self.a[keep], self.m[keep], self.r[keep], self.const[keep]
+        for name in self._FIELDS:
+            setattr(t, name, getattr(self, name)[keep])
         return t
 
     def log_pmf(self, x):
         """log P(Bin(m, x) = a)."""
         a, m, r = self.a, self.m, self.r
         lp = self.const - _bd0(a, m * x) - _bd0(r, m * (1.0 - x))
-        return np.where(r == 0.0, m * np.log(x), lp)
+        edge = r == 0.0
+        return np.where(edge, m * np.log(x), lp) if np.count_nonzero(edge) else lp
 
     def log_c(self):
         """log C(m, a): log_pmf at x = a/m less its powers of x and 1 - x."""
         a, m, r = self.a, self.m, self.r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_c = self.const - a * np.log(a / m) - r * np.log(r / m)
+        log_c = self.const - a * np.log(a / m) - r * np.log(r / m)
         return np.where(r > 0.0, log_c, 0.0)
 
-    def eval(self, x, depth):
-        """(log I_x, its slope in u = log x, a bound on the error of log I, depth).
+    def eval(self, x):
+        """(log I_x, its slope in u = log x, a bound on the error of log I).
 
         The slope is a pmf(a) / I. The error bound is an ulp of the sum of
         the magnitudes of the terms that make up log I, or of the mirrored
-        tail J's logarithm, scaled by J / (1 - J), above the switch. Where
-        depth is positive the fraction is cut there (_betacf_to); elsewhere
-        _betacf runs, and the returned depth is its iterations plus 2.
+        tail J's logarithm, scaled by J / (1 - J), above the switch. Each
+        entry takes its own branch, so its value depends on it alone.
         """
-        a, b = self.a, self.r + 1.0
+        a, b = self.a, self.b
         lp = self.log_pmf(x)
         lq = np.log1p(-x)
-        flip = x > (a + 1.0) / (self.m + 3.0)
-        mirrored = flip.any()
+        flip = x > self.switch
+        mirrored = np.count_nonzero(flip)
         if mirrored:
-            h, iters = _betacf(
-                np.where(flip, b, a), np.where(flip, a, b), np.where(flip, 1.0 - x, x)
-            )
-            depth = np.where(flip | (iters == _CF_MAXITER), 0, iters + 2)
             # the mirrored fraction, in 1 - x, cancels by about
             # b / (m x - a + 1): with b > a, J is summed from its largest term
             head = flip & (b > a)
-            if head.any():
-                h[head] = _head_sum(a[head], self.m[head], x[head]) / x[head]
+            cf = ~head
+            h = np.empty(x.shape[0])
+            h[head] = _head_sum(a[head], self.m[head], x[head]) / x[head]
+            h[cf] = _betacf(
+                np.where(flip, b, a)[cf], np.where(flip, a, b)[cf], np.where(flip, 1.0 - x, x)[cf]
+            )
         else:
-            h, depth = self.fraction(a, b, x, depth)
+            h = _betacf(a, b, x)
         h = np.log(h)
         log_i = lp + lq + h
         err = (2.0 * np.abs(self.const) - lp - lq + np.abs(h)) * 2.0**-52
@@ -514,21 +506,7 @@ class _Tail:
             log_i = np.where(flip, np.log1p(-np.exp(log_i + np.log(a / b))), log_i)
             # log1p(-J) takes J's relative error times J / (1 - J)
             err = np.where(flip, err * np.expm1(-log_i), err)
-        return log_i, a * np.exp(lp - log_i), err, depth
-
-    @staticmethod
-    def fraction(a, b, x, depth):
-        """_betacf where depth is 0, _betacf_to elsewhere; (values, depth)."""
-        h = np.empty(x.shape[0])
-        cut = depth > 0
-        if cut.any():
-            h[cut] = _betacf_to(a[cut], b[cut], x[cut], depth[cut])
-        if not cut.all():
-            run = ~cut
-            depth = depth.copy()
-            h[run], iters = _betacf(a[run], b[run], x[run])
-            depth[run] = np.where(iters < _CF_MAXITER, iters + 2, 0)
-        return h, depth
+        return log_i, a * np.exp(lp - log_i), err
 
     def step(self, f, s, x, order):
         """Root in u of the Taylor polynomial of log I - log delta at x.
@@ -539,16 +517,16 @@ class _Tail:
         those of g. order 2 is the quadratic's root; order 5 refines it by
         one Newton step on the quintic.
         """
-        a, r = self.a, self.r
-        q = x / (1.0 - x)
-        g1 = a - r * q
+        omx = 1.0 - x
+        nrq = -self.r * (x / omx)
+        g1 = self.a + nrq
         l2 = s * (g1 - s)
         step = -2.0 * f / (s + np.sqrt(np.maximum(s * s - 2.0 * l2 * f, 0.0)))
         if order == 2:
             return step
-        g2 = -r * q / (1.0 - x)
-        g3 = g2 * (1.0 + x) / (1.0 - x)
-        g4 = -r * q * (1.0 + x * (4.0 + x)) / (1.0 - x) ** 3
+        g2 = nrq / omx
+        g3 = g2 * (1.0 + x) / omx
+        g4 = nrq * (1.0 + x * (4.0 + x)) / omx**3
         l3 = l2 * (g1 - s) + s * (g2 - l2)
         l4 = l3 * (g1 - s) + 2.0 * l2 * (g2 - l2) + s * (g3 - l3)
         l5 = l4 * (g1 - s) + 3.0 * l3 * (g2 - l2) + 3.0 * l2 * (g3 - l3) + s * (g4 - l4)
@@ -564,8 +542,7 @@ def _beta_root(a, m, delta, lo, hi):
     search starts at the larger of lo and the union bound's root (I <=
     C(m, a) x^a), which one step on a closed-form approximation of
     I / pmf(a) brings to within about 1e-5 of the root. Each later step
-    evaluates log I (_Tail.eval; after the first, the continued fraction
-    is cut at the depth the first one needed) and moves to the root of
+    evaluates log I (_Tail.eval) and moves to the root of
     its quintic Taylor polynomial in log x, or Newton's where that leaves
     (lo, hi), or the midpoint. A point whose log I plus its error bound
     is <= log delta becomes lo, any other hi. The steps aim a little left
@@ -576,12 +553,12 @@ def _beta_root(a, m, delta, lo, hi):
     a = a.astype(np.float64)
     m = m.astype(np.float64)
     log_delta = math.log(delta)
-    tail = _Tail(a, m)
     lo = np.clip(lo, 0.0, 1.0)
     hi = np.clip(hi, 0.0, 1.0)
     out = lo.copy()
     idx = np.arange(a.shape[0])
     with np.errstate(all="ignore"):
+        tail = _Tail(a, m)
         x = np.minimum(np.maximum(lo, np.exp((log_delta - tail.log_c()) / a)), hi)
         # one step on log pmf(a) + log(I / pmf(a)), the latter from the
         # tail's ratios t_{a+i} ~ t e^(-i kappa): 1/(1-t) - kappa t^2/(1-t)^3
@@ -592,23 +569,18 @@ def _beta_root(a, m, delta, lo, hi):
         f = tail.log_pmf(x) + ls - log_delta
         x_new = x * np.exp(tail.step(f, a * np.exp(-ls), x, 2))
         x = np.where((t < 1.0) & (x_new > lo) & (x_new < hi), x_new, x)
-        depth = np.zeros(x.shape[0], dtype=np.int64)
-        x_cf = x
         for _ in range(_ROOT_STEPS):
-            # a fraction's depth holds within 1e-3 of where _betacf found it
-            depth = np.where(np.abs(x - x_cf) < 1e-3 * x_cf, depth, 0)
-            log_i, s, err, new_depth = tail.eval(x, depth)
-            x_cf = np.where(depth > 0, x_cf, x)
-            depth = new_depth
+            log_i, s, err = tail.eval(x)
             # a point counts as left only with its error bound added
             f = log_i - log_delta + err
-            lo = np.where(f <= 0.0, x, lo)
+            left = f <= 0.0
+            lo = np.where(left, x, lo)
             hi = np.where(f > 0.0, x, hi)
             # relative to x, or near 1 to 1 - x (an upper bound is 1 minus
             # a root), but at least 3 ulps of x; widened by the error of f
             rel = _ROOT_TOL * np.minimum(1.0, (1.0 - x) / x)
             tol = np.fmin(np.maximum(rel, 3.0 * np.spacing(x) / x) + _WIN * err / s, 2.0**-20)
-            done = (f <= 0.0) & (-f <= s * tol)
+            done = left & (-f <= s * tol)
             # aim a little left of the root: the Taylor root, else Newton's,
             # which log-concavity of I in log x keeps left of its aim, else
             # the bracket's midpoint
@@ -616,18 +588,17 @@ def _beta_root(a, m, delta, lo, hi):
             x_new = x + x * np.expm1(tail.step(f, s, x, 5))
             out_lo, out_hi = lo * (1.0 - 4.0 * tol), hi * (1.0 + 4.0 * tol)
             stray = ~((x_new > out_lo) & (x_new < out_hi))
-            if stray.any():
+            if np.count_nonzero(stray):
                 newton = x + x * np.expm1(-f / s)
                 newton = np.where((newton > out_lo) & (newton < out_hi), newton, 0.5 * (lo + hi))
                 x_new = np.where(stray, newton, x_new)
             x_new = np.clip(x_new, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0))
             done |= ~(hi > lo * (1.0 + tol))
             out[idx] = lo
-            if done.all():
+            if np.count_nonzero(done) == done.size:
                 break
             keep = ~done
             idx, lo, hi, x = idx[keep], lo[keep], hi[keep], x_new[keep]
-            depth, x_cf = depth[keep], x_cf[keep]
             tail = tail.take(keep)
     return out
 
