@@ -36,7 +36,9 @@ prove most of the rest, and the exact pass then needs only the pairs
 that can set a crossing level. Each crossing it finds also names a
 witness, the lower and the upper bound that cross the most; the
 isotonicity p-value's next probe bounds just those two sides at its own
-alpha, and needs no pass over the pairs if they cross.
+alpha, and needs no pass over the pairs if they cross. raw_band records
+the same witness from its own bounds when the band crosses, with the
+alpha it was built at, so the p-value can start from the band.
 """
 
 import math
@@ -157,11 +159,18 @@ class StepBand:
     0 left of the first; the remaining two tails continue the end levels.
     Both level arrays are nondecreasing. Lower may exceed upper at a knot
     (a crossing); diagnostics consume that, nothing here forbids it.
+
+    raw_band also records the alpha it built the band at, and, when the
+    band crosses, a crossing witness (_witness) from the bounds it
+    computed; the isotonicity p-value starts from both. Other bands leave
+    them None.
     """
 
     knots: np.ndarray
     lower_levels: np.ndarray
     upper_levels: np.ndarray
+    alpha: float | None = None
+    witness: np.ndarray | None = None
 
 
 def _pair_chunks(data, family):
@@ -275,17 +284,24 @@ class _Survivors:
     def _solve(self, z, m, index):
         if not z.shape[0]:
             return
+        # a bound depends on (z, m, delta) alone: each distinct count is
+        # bounded once and its bound scattered back to its pairs
+        key, inverse = np.unique((m << 32) | z, return_inverse=True)
         lo, up = cp_bounds_batch(
-            z, m, self.delta, lower_where=not self.upper, upper_where=self.upper
+            key & 0xFFFFFFFF,
+            key >> 32,
+            self.delta,
+            lower_where=not self.upper,
+            upper_where=self.upper,
         )
         if self.upper:
-            np.minimum.at(self.out, index, up)
+            bound = up[inverse]
+            np.minimum.at(self.out, index, bound)
             self.cap = np.minimum(self.cap, _suffix_min(self.out))
-            bound = up
         else:
-            np.maximum.at(self.out, index, lo)
+            bound = lo[inverse]
+            np.maximum.at(self.out, index, bound)
             self.cap = np.maximum(self.cap, np.maximum.accumulate(self.out))
-            bound = lo
         hit = np.flatnonzero(bound == self.out[index])
         self.zm[:, index[hit]] = z[hit], m[hit]
 
@@ -424,6 +440,8 @@ def raw_band(data, family, alpha):
         _Survivors(delta, False, np.full_like(col_champs[1], -np.inf), col_champs),
     )
     upper, lower = _exact_levels(data, family, delta, sides)
+    gap = _lower_at_rows(family, lower) - upper
+    witness = _witness(family, sides, gap) if (gap > 0.0).any() else None
     n = data.n_groups
     upper = np.where(np.isfinite(upper), upper, 1.0)
     lower = np.where(np.isfinite(lower), lower, 0.0)
@@ -437,6 +455,8 @@ def raw_band(data, family, alpha):
             np.concatenate((upper, [1.0])),
             np.diff(family.row_j, prepend=-1, append=n - 1),
         ),
+        alpha=alpha,
+        witness=witness,
     )
 
 

@@ -8,9 +8,12 @@ joined across chunks, so no temporary grows with the number of knots.
 The isotonicity test inverts band construction over alpha; its p-value is
 the smallest level at which the lower bound overtakes the upper somewhere,
 found by bisection on the crossing decision of bands._crosses, which
-never builds the band. The probes carry a crossing witness, two
-pair sides whose bounds cross, from one to the next, and most probes
-above a small p-value are answered by its two exact bounds alone.
+never builds the band. The raw band the caller built at its own alpha
+answers the probes on its side of that alpha. The other probes carry a
+crossing witness, two pair sides whose bounds cross, from one to the
+next, starting with the band's own; most probes above a small p-value
+are answered by its two exact bounds alone, and the closed-form bracket
+levels rule out most of the rest.
 """
 
 import warnings
@@ -236,7 +239,7 @@ def _crossing_regions(band):
     return _regions(_crossing_parts(band))
 
 
-def isotonicity_pvalue(data, family):
+def isotonicity_pvalue(data, family, band=None):
     """Smallest alpha at which the raw band crosses itself.
 
     Crossing is monotone in alpha (larger alpha shrinks every pair bound
@@ -246,15 +249,32 @@ def isotonicity_pvalue(data, family):
     at the probe's alpha, prove a crossing when the lower one exceeds the
     upper one. Only when the witness fails does the probe decide in full:
     closed-form inner brackets rule a crossing out, and exact bounds on
-    the pairs that can set a crossing level decide the rest. The answers,
-    hence the p-value, are those of building the band at every probe.
-    Returns 1.0 when even alpha just below one produces no crossing, and
-    0.0 when the band already crosses at 1e-8.
+    the pairs that can set a crossing level decide the rest.
+
+    band, if given, is raw_band(data, family, alpha) at some alpha, which
+    the caller has built already; it answers the probes on its side of
+    alpha. If it crosses, every probe at or above its alpha crosses, and
+    the first probe below starts from its witness; if not, no probe at or
+    below its alpha crosses. The probe at 1e-8 comes last, and only if no
+    midpoint answered False: one that did puts it below the crossing.
+    These answers use the monotonicity the bisection itself assumes. It
+    holds for the computed bounds too: an exact Clopper-Pearson bound
+    moves strictly monotonically with alpha, a computed one lies within
+    about 1e-13 relative of it, and between two probes of the bisection,
+    or a probe and the band's alpha, each bound moves by far more than
+    that. So the answers, hence the p-value, are those of building the
+    band at every probe. Returns 1.0 when even alpha just below one
+    produces no crossing, and 0.0 when the band already crosses at 1e-8.
     """
-    witness = None
+    known = band is not None and band.alpha is not None
+    witness = band.witness if known else None
 
     def crosses(alpha):
         nonlocal witness
+        if known:
+            crossed = band.witness is not None
+            if (alpha >= band.alpha) if crossed else (alpha <= band.alpha):
+                return crossed
         answer, witness = _crosses(data, family, alpha, witness)
         return answer
 
@@ -262,14 +282,14 @@ def isotonicity_pvalue(data, family):
     if not crosses(hi):
         return 1.0
     lo = _PVALUE_ALPHA_LO
-    if crosses(lo):
-        return 0.0
     while hi - lo > _PVALUE_TOL:
         mid = 0.5 * (lo + hi)
         if crosses(mid):
             hi = mid
         else:
             lo = mid
+    if lo == _PVALUE_ALPHA_LO and crosses(lo):
+        return 0.0
     return 0.5 * (lo + hi)
 
 
@@ -278,12 +298,12 @@ def isotonicity_report(data, family, band, alpha):
 
     band is raw_band(data, family, alpha), which the caller has already
     built for its own use; the report reads gamma and the crossing regions
-    from it instead of building it again.
+    from it instead of building it again, and the p-value starts from it.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1)")
     return IsotonicityReport(
-        p_value=isotonicity_pvalue(data, family),
+        p_value=isotonicity_pvalue(data, family, band),
         gamma_hat=0.5 * max(0.0, _crossing_gap(band)),
         crossing_regions=_crossing_regions(band),
         alpha=alpha,

@@ -16,17 +16,19 @@ check, so both bounds are outward. Two evaluations per root suffice
 almost always. Every step is elementwise, so a bound never depends on the
 other entries of its batch.
 
-cp_brackets puts each bound inside a closed-form bracket (Hoeffding on
-one side, the binary method-of-types bound on the other). _kl_outer and
-_kl_inner tighten the ends to the roots they relax: the Chernoff bound
-outside, Ash's lower bound on the binomial coefficient inside, a few
-vectorized Newton and false-position steps each, every end checked by
-one KL evaluation. Band construction reads only the inner ends,
-closed-form (_inner_ends) in both of its passes and KL (_kl_inner) in
+cp_brackets puts each bound inside a closed-form bracket: Hoeffding on
+the outer side; on the inner side Ash's lower bound on the binomial
+coefficient, with KL(q || p) bounded by two quadratics in p - q
+(_inner_ends), exact at z = 0 and z = m. _kl_outer and _kl_inner tighten
+the ends to the roots they relax: the Chernoff bound outside, Ash's
+bound with KL itself inside, a few vectorized Newton and false-position
+steps each, every end checked by one KL evaluation. Band construction
+reads only the inner ends, closed-form in both of its passes and KL in
 the exact one, and tests them against caps made of exact bounds, which
 on a sweep replication (n = 8192, K = 1000) leaves the exact solve about
 1.5% of the pair sides. _beta_root starts from the _kl_outer end, on the
-root's left, and keeps every step inside that bracket.
+root's left, and keeps every step inside that bracket; the inner end is
+only its guard on the right.
 
 chi2_survival, the tail the Hosmer-Lemeshow baseline is referred to, is
 written against the math module only.
@@ -186,17 +188,27 @@ def cp_brackets(z, m, delta):
 
 
 def _inner_ends(z, m, delta):
-    """The inner ends (lower_hi, upper_lo) of cp_brackets, elementwise.
+    """The inner ends (lower_hi, upper_lo) of cp_brackets over 1-d arrays.
 
-    With q = z/m, upper_lo is the larger root p of m(p-q)^2 = c p(1-p)
-    with c = log(1/delta) - log(m+1). At that p, P(Bin(m,p) = z) >=
-    exp(-m KL(q||p))/(m+1) >= exp(-c)/(m+1) = delta, by the binary
-    method-of-types bound and KL(q||p) <= (p-q)^2/(p(1-p)); so the
-    binomial CDF at z still reaches delta there. When c <= 0 the root is
-    q itself, which the median of Bin(m, q) justifies for delta <= 1/2;
-    above 1/2 the end is 0. lower_hi mirrors it through cp_lower(z, m) =
-    1 - cp_upper(m-z, m): it is the smaller root, 1 above 1/2. Both ends
-    are widened by _BRACKET_SLACK.
+    With q = z/m and 0 < z < m, Ash's bound C(m, z) >= exp(m H(q)) /
+    sqrt(8 z (1-q)) gives P(Bin(m,p) = z) >= exp(-m KL(q||p) - c) delta
+    with c = log(1/delta) - log(8 z (m-z)/m) / 2, so the binomial CDF at z
+    still reaches delta wherever m KL(q||p) <= c. Two bounds on
+    KL(q||p) = int_q^p (s-q)/(s(1-s)) ds give such points p > q:
+    (p-q)^2/(p(1-p)), whose level set is the larger root of
+    m(p-q)^2 = c p(1-p), and (p-q)^2/(2 min(q(1-q), p(1-p))), whose
+    level set ends at the smaller of q + sqrt(2c q(1-q)/m) and the larger
+    root of m(p-q)^2 = 2c p(1-p). upper_lo is the larger of the two ends.
+    At z = 0 it is the exact bound 1 - delta^(1/m); at z = m the roots are
+    1, the exact bound. When c <= 0 the end is q itself, which the median
+    of Bin(m, q) justifies for delta <= 1/2; above 1/2 it is 0. lower_hi
+    mirrors it through cp_lower(z, m) = 1 - cp_upper(m-z, m): the smaller
+    roots, 0 at z = 0, the exact delta^(1/m) at z = m, 1 above 1/2. Both
+    ends are widened by _BRACKET_SLACK.
+
+    Since sqrt(8 z (m-z)/m) <= m + 1, c is at least the level
+    log(1/delta) - log(m+1) of the binary method-of-types bound, so the
+    ends are never looser than that bound's chi-square root.
     """
     zf = np.asarray(z, dtype=np.float64)
     mf = np.asarray(m, dtype=np.float64)
@@ -204,14 +216,30 @@ def _inner_ends(z, m, delta):
         ones = np.ones_like(zf)
         return ones + _BRACKET_SLACK, -_BRACKET_SLACK * ones
     q = zf / mf
-    c = np.maximum(-math.log(delta) - np.log1p(mf), 0.0)
-    root = np.sqrt(c * (c + 4.0 * zf * (mf - zf) / mf))
-    s = 2.0 * zf + c + root
-    upper_lo = s / (2.0 * (mf + c)) - _BRACKET_SLACK
-    # the smaller root 2z^2 / (m s), written without cancellation; the
-    # floor on s only matters at z = 0, where the root is 0
-    lower_hi = q * (2.0 * zf / np.maximum(s, 1.0)) + _BRACKET_SLACK
+    v = zf * (q - 1.0)  # -m q (1-q)
+    # the floor keeps c finite at z = 0 and z = m, whose ends are set below
+    c = np.maximum(-math.log(delta) - 0.5 * np.log(np.maximum(-8.0 * v, 1.0)), 0.0)
+    lower_hi, upper_lo = _chi2_roots(zf, mf, q, v, c)
+    c2 = c + c
+    lo2, up2 = _chi2_roots(zf, mf, q, v, c2)
+    h = np.sqrt(-c2 * v) / mf
+    upper_lo = np.maximum(upper_lo, np.minimum(q + h, up2)) - _BRACKET_SLACK
+    lower_hi = np.minimum(lower_hi, np.maximum(q - h, lo2)) + _BRACKET_SLACK
+    at = np.flatnonzero(zf == 0.0)
+    upper_lo[at] = -np.expm1(math.log(delta) / mf[at]) - _BRACKET_SLACK
+    at = np.flatnonzero(zf == mf)
+    lower_hi[at] = np.exp(math.log(delta) / mf[at]) + _BRACKET_SLACK
     return lower_hi, upper_lo
+
+
+def _chi2_roots(zf, mf, q, v, c):
+    """Both roots p of m(p-q)^2 = c p(1-p), smaller first; v = -m q (1-q).
+
+    The smaller is 2 z^2 / (m s), written without cancellation; the floor
+    on s only matters at z = 0, where that root is 0.
+    """
+    s = 2.0 * zf + c + np.sqrt(c * (c - 4.0 * v))
+    return q * (2.0 * zf / np.maximum(s, 1.0)), s / (2.0 * (mf + c))
 
 
 def _kl(q, p):

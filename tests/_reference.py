@@ -60,6 +60,25 @@ def cp_lower_by_inversion(z, m, delta, tol=1e-12):
     return 1.0 - cp_upper_by_inversion(m - z, m, delta, tol)
 
 
+def chi2_inner_ends(z, m, delta, slack=1e-9):
+    """The chi-square inner ends (lower_hi, upper_lo) special._inner_ends replaced.
+
+    upper_lo is the larger root p of m(p-q)^2 = c p(1-p) with q = z/m and
+    c = log(1/delta) - log(m+1), the binary method-of-types level, or q
+    where c <= 0; lower_hi is the smaller root. Above delta = 1/2 the ends
+    are 0 and 1. Both are widened by slack.
+    """
+    zf = np.asarray(z, dtype=np.float64)
+    mf = np.asarray(m, dtype=np.float64)
+    if delta > 0.5:
+        ones = np.ones_like(zf)
+        return ones + slack, -slack * ones
+    c = np.maximum(-math.log(delta) - np.log1p(mf), 0.0)
+    s = 2.0 * zf + c + np.sqrt(c * (c + 4.0 * zf * (mf - zf) / mf))
+    lower_hi = (zf / mf) * (2.0 * zf / np.maximum(s, 1.0)) + slack
+    return lower_hi, s / (2.0 * (mf + c)) - slack
+
+
 def pava_exhaustive(data):
     """Isotonic least squares by enumerating consecutive-block partitions.
 

@@ -417,17 +417,41 @@ def test_raw_band_crosses_needs_no_exact_bound_for_a_clear_crossing(monkeypatch)
 
 
 def test_raw_band_crosses_bounds_only_champions_that_pass_the_caps(monkeypatch):
-    # the p-value's first probe on monotone data: near alpha = 1 the band
+    # the p-value's first probe on a flat truth: near alpha = 1 the band
     # is narrow but does not cross, and the brackets leave some knots
-    # open. Of the 200 champion sides only 2 reach the caps every other
-    # pair is tested against, so only those are bounded
+    # open (on a rising truth they rule the crossing out alone). Of the 40
+    # champion sides only 4 reach the caps every other pair is tested
+    # against, so only those are bounded, and one pair more after them
     calls = _record_batches(monkeypatch)
     rng = np.random.default_rng(0)
     x = rng.random(20000)
-    d = _data(x, rng.random(20000) < x**0.7)
-    fam = rounded_index_family(d, K=100)
+    d = _data(x, rng.random(20000) < 0.5)
+    fam = rounded_index_family(d, K=20)
     assert bands_module._crosses(d, fam, 1.0 - 1e-6)[0] is False
     assert 0 < sum(asked for _, asked in calls) <= 10
+
+
+def test_survivors_bound_each_distinct_count_once(monkeypatch):
+    # a batch with repeated (z, m), within an index and across indices,
+    # leaves the same levels, caps and (z, m) per index as bounding its
+    # pairs one at a time, and asks cp_bounds_batch for each count once
+    z = np.array([3, 5, 3, 7, 3, 5, 0, 12, 12])
+    m = np.array([10, 20, 10, 30, 10, 20, 4, 12, 12])
+    index = np.array([0, 1, 2, 2, 3, 1, 4, 4, 0])
+    no_champions = (np.zeros((2, 5), dtype=np.int64), np.full(5, np.nan))
+    for upper in (True, False):
+        cap = np.full(5, np.inf if upper else -np.inf)
+        one_by_one = bands_module._Survivors(1e-3, upper, cap, no_champions)
+        for i in range(z.shape[0]):
+            one_by_one._solve(z[i : i + 1], m[i : i + 1], index[i : i + 1])
+        calls = _record_batches(monkeypatch)
+        batch = bands_module._Survivors(1e-3, upper, cap, no_champions)
+        batch._solve(z, m, index)
+        assert calls == [(5, 5)]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(batch.out, one_by_one.out)
+        np.testing.assert_array_equal(batch.cap, one_by_one.cap)
+        np.testing.assert_array_equal(batch.zm, one_by_one.zm)
 
 
 def test_raw_band_crosses_memory_stays_at_family_size():

@@ -25,6 +25,7 @@ from calband.bands import (
     rounded_index_family,
 )
 from calband.diagnostics import (
+    _crossing_gap,
     calibration_verdict,
     hosmer_lemeshow,
     isotonicity_pvalue,
@@ -284,8 +285,9 @@ def test_witness_from_the_crossing_bounds_saves_bracket_passes(monkeypatch):
     # the full family on the dip at n = 512, p about 0.24: the probes
     # alternate, and each one that does not cross needs a bracket pass.
     # The witness is the pair of bounds that cross the most at the last
-    # crossing; it holds at 4 of the 15 checks here, and 12 probes make a
-    # bracket pass (15 with the champions' closed-form ends as witness)
+    # crossing; it holds at 4 of the 14 checks here, and 11 probes make a
+    # bracket pass (15 with the champions' closed-form ends as witness).
+    # A midpoint that does not cross settles the probe at 1e-8 unasked
     passes, checks = [], []
     levels, check = bands_module._bracket_levels, bands_module._witness_crosses
 
@@ -301,8 +303,57 @@ def test_witness_from_the_crossing_bounds_saves_bracket_passes(monkeypatch):
     monkeypatch.setattr(bands_module, "_witness_crosses", spy_check)
     d = dip_data(np.random.default_rng(3), 512)
     assert 0.2 < isotonicity_pvalue(d, full_index_family(d)) < 0.3
-    assert len(checks) == 15
-    assert len(passes) <= 12
+    assert len(checks) == 14
+    assert len(passes) <= 11
+
+
+def test_pvalue_seeded_with_the_band_equals_the_unseeded_one():
+    # the band answers the probes on its side of its alpha and seeds the
+    # first probe past it with its witness; the p-value stays bit for bit
+    cases = [(dip_data(np.random.default_rng(seed), 512), True) for seed in range(1, 9)]
+    rng = np.random.default_rng(29)
+    for n in (40, 300):
+        x = rng.random(n)
+        cases.append((_data(x, rng.random(n) < x**0.7), False))
+    for d, dip in cases:
+        families = [full_index_family(d)] + ([] if dip else [rounded_index_family(d, 20)])
+        for fam in families:
+            p = isotonicity_pvalue(d, fam)
+            assert dip == (p < 1.0)
+            for alpha in (0.01, 0.05, 0.5):
+                band = raw_band(d, fam, alpha)
+                assert band.alpha == alpha
+                assert (band.witness is None) == (_crossing_gap(band) <= 0.0)
+                assert isotonicity_pvalue(d, fam, band) == p
+
+
+def test_pvalue_leaves_the_probes_on_the_bands_side_undecided(monkeypatch):
+    # a crossing band answers every probe at or above its alpha, one that
+    # does not cross every probe at or below it; _crosses sees the others
+    asked = []
+    real = calband.diagnostics._crosses
+
+    def spy(data, family, alpha, witness=None):
+        asked.append(alpha)
+        return real(data, family, alpha, witness)
+
+    monkeypatch.setattr(calband.diagnostics, "_crosses", spy)
+    d = dip_data(np.random.default_rng(3), 512)
+    fam = full_index_family(d)
+    p = isotonicity_pvalue(d, fam)
+    all_probes = len(asked)
+    assert 0.2 < p < 0.5
+    for alpha in (0.2, 0.5):
+        band = raw_band(d, fam, alpha)
+        asked.clear()
+        assert isotonicity_pvalue(d, fam, band) == p
+        if alpha > p:
+            assert band.witness is not None
+            assert asked and max(asked) < alpha
+        else:
+            assert band.witness is None
+            assert asked and min(asked) > alpha
+        assert len(asked) < all_probes
 
 
 def test_gamma_closed_form_two_blocks():

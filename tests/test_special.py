@@ -9,8 +9,10 @@ from scipy import integrate
 from scipy import special as sps
 from scipy import stats
 
+import calband.special as special_module
 from _reference import (
     binom_cdf_direct,
+    chi2_inner_ends,
     cp_lower_by_inversion,
     cp_upper_by_inversion,
 )
@@ -449,16 +451,75 @@ def test_kl_brackets_hold_the_exact_bounds_without_scipy():
 
 def test_kl_brackets_are_tighter_where_bands_prune():
     # at a Bonferroni-sized delta the KL ends leave a fraction of the
-    # closed-form width
+    # width the chi-square inner ends leave
     z = np.array([3, 50, 500, 9105, 20])
     m = np.array([40, 100, 1000, 10104, 8000])
     lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, 1e-7)
     up_lo, up_hi = _kl_inner(z, m, 1e-7, upper_lo, True), _kl_outer(z, m, 1e-7, upper_hi, True)
     lo_lo, lo_hi = _kl_outer(z, m, 1e-7, lower_lo, False), _kl_inner(z, m, 1e-7, lower_hi, False)
-    assert (up_hi - up_lo < 0.5 * (upper_hi - upper_lo)).all()
-    assert (lo_hi - lo_lo < 0.5 * (lower_hi - lower_lo)).all()
+    chi2_lower_hi, chi2_upper_lo = chi2_inner_ends(z, m, 1e-7)
+    assert (up_hi - up_lo < 0.5 * (upper_hi - chi2_upper_lo)).all()
+    assert (lo_hi - lo_lo < 0.5 * (chi2_lower_hi - lower_lo)).all()
     # the closed-form inner ends alone are the ones of cp_brackets
     np.testing.assert_array_equal(_inner_ends(z, m, 1e-7), (lower_hi, upper_lo))
+
+
+_INNER_DELTAS = (0.5, 0.3, 0.05, 1e-7, 1e-30, 1e-100, 1e-200, 1e-300)
+
+
+def test_inner_ends_hold_the_binomial_tail_at_the_edges():
+    # at z in {0, 1, m - 1, m} the binomial CDF at z still reaches delta
+    # at upper_lo, and P(Bin(m, p) >= z) at lower_hi; at z = 0 and z = m
+    # the ends are the exact bounds, widened by the 1e-9 slack
+    for m in (1, 2, 3, 10, 100, 2000):
+        z = np.unique([0, 1, m - 1, m])
+        mm = np.full(z.shape, m)
+        for delta in _INNER_DELTAS:
+            log_d = math.log(delta)
+            lower_hi, upper_lo = _inner_ends(z, mm, delta)
+            lo, up = cp_bounds_batch(z, mm, delta)
+            for i, zi in enumerate(z.tolist()):
+                if zi < m:
+                    assert _log_binom_cdf(zi, m, upper_lo[i]) >= log_d
+                if zi > 0:
+                    assert _log_binom_cdf(m - zi, m, lower_hi[i], mirror=True) >= log_d
+            if delta <= 0.5:
+                assert up[0] - 2e-9 <= upper_lo[0] <= up[0]
+                assert lo[-1] <= lower_hi[-1] <= lo[-1] + 2e-9
+
+
+def test_inner_ends_are_never_looser_than_the_chi2_ends():
+    # Ash's level is at least the method-of-types level, so both ends are
+    # at least as tight as the chi-square ones, and far tighter at the
+    # edges; at z = m both upper ends are 1 up to an ulp
+    rng = np.random.default_rng(17)
+    m = np.concatenate([np.arange(1, 60), rng.integers(1, 300_001, size=3000)])
+    z = np.minimum((rng.random(m.size) * (m + 1)).astype(np.int64), m)
+    z[:200:4], z[1:200:4] = 0, m[1:200:4]
+    for delta in _INNER_DELTAS:
+        lower_hi, upper_lo = _inner_ends(z, m, delta)
+        chi2_lower_hi, chi2_upper_lo = chi2_inner_ends(z, m, delta)
+        assert (upper_lo >= chi2_upper_lo - 1e-15).all()
+        assert (lower_hi <= chi2_lower_hi + 1e-15).all()
+        if delta <= 1e-7:
+            assert (upper_lo > chi2_upper_lo + 1e-6).mean() > 0.5
+            assert (lower_hi < chi2_lower_hi - 1e-6).mean() > 0.5
+
+
+def test_cp_bounds_batch_is_the_same_under_either_inner_guard(monkeypatch):
+    # the solver reads the inner ends only as a guard on its bracket, so
+    # the chi-square ends give the same bounds, bit for bit
+    rng = np.random.default_rng(19)
+    m = np.concatenate([np.arange(1, 40), rng.integers(1, 300_001, size=1200)])
+    z = np.minimum((rng.random(m.size) * (m + 1)).astype(np.int64), m)
+    z[:40:3], z[1:40:3] = 0, m[1:40:3]
+    deltas = (0.3, 0.05, 1e-4, 1e-9, 1e-30, 1e-100, 1e-300)
+    new = [cp_bounds_batch(z, m, delta) for delta in deltas]
+    monkeypatch.setattr(special_module, "_inner_ends", chi2_inner_ends)
+    for delta, (lo, up) in zip(deltas, new):
+        old_lo, old_up = cp_bounds_batch(z, m, delta)
+        np.testing.assert_array_equal(lo, old_lo)
+        np.testing.assert_array_equal(up, old_up)
 
 
 @pytest.mark.parametrize(
@@ -516,14 +577,18 @@ def test_far_tail_gaps_are_closed():
 
 
 def test_cp_validity_by_simulation():
+    # every count's bounds once, read by the draws: the scalar API equals
+    # the batch bit for bit (test_cp_bounds_batch_matches_scalar)
     rng = np.random.default_rng(53)
     m, delta, reps = 30, 0.1, 2000
     slack = 3.0 * math.sqrt(delta * (1.0 - delta) / reps)
+    counts = np.arange(m + 1)
+    lower, upper = cp_bounds_batch(counts, np.full(m + 1, m), delta)
     for q in (0.1, 0.5, 0.9):
         draws = rng.binomial(m, q, size=reps)
-        hits = sum(q <= cp_upper(int(z), m, delta) for z in draws)
+        hits = np.count_nonzero(q <= upper[draws])
         assert hits / reps >= 1.0 - delta - slack
-        hits = sum(cp_lower(int(z), m, delta) <= q for z in draws)
+        hits = np.count_nonzero(lower[draws] <= q)
         assert hits / reps >= 1.0 - delta - slack
 
 
