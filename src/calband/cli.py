@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bands import (
+    StepBand,
     full_index_family,
     noncrossing_band,
     raw_band,
@@ -478,7 +479,14 @@ def _cmd_band(args):
         )
 
     unit_domain = not args.general_covariates
-    verdict = calibration_verdict(band) if unit_domain else None
+    # the band as printed; the verdict's regions are read from it, so they
+    # end at knots or printed levels and lie inside the computed band's
+    printed = StepBand(
+        band.knots,
+        _outward(band.lower_levels, up=False),
+        _outward(band.upper_levels, up=True),
+    )
+    verdict = calibration_verdict(band, printed) if unit_domain else None
     hl = None
     if unit_domain:
         with warnings.catch_warnings(record=True) as caught:
@@ -507,8 +515,8 @@ def _cmd_band(args):
     }
     band_block = {
         "knots": band.knots,
-        "lower": _outward(band.lower_levels, up=False),
-        "upper": _outward(band.upper_levels, up=True),
+        "lower": printed.lower_levels,
+        "upper": printed.upper_levels,
         "isotonic_fit": fit_knots,
     }
     if verdict is None:

@@ -192,12 +192,18 @@ def _verdict_parts(band):
         )
 
 
-def calibration_verdict(band):
+def calibration_verdict(band, regions_band=None):
     """Test whether the band excludes the diagonal anywhere on [0, 1].
 
     The band is taken with its constant extrapolation, so the verdict is
     about all of [0, 1], not just the observed covariate range. Raises if
     the band's knots leave the unit interval.
+
+    regions_band, if given, is a band on the same knots that is nowhere
+    narrower, such as the band with its levels rounded outward for
+    printing; the regions are then read from it, so they end at its
+    knots and levels and lie inside the band's own. classical_reject and
+    epsilon_certificate are always the band's.
     """
     knots = band.knots
     if knots[0] < 0.0 or knots[-1] > 1.0:
@@ -205,10 +211,14 @@ def calibration_verdict(band):
             "band domain exceeds [0, 1]; the diagonal verdict is undefined "
             "for general covariates"
         )
-    regions = _regions(_verdict_parts(band))
+    # the diagonal leaves the band on a piece only if it does so at a knot
     eps = _knot_max(band, lambda x, low, up: np.maximum(low - x, x - up))
+    if eps <= 0.0:
+        regions = []
+    else:
+        regions = _regions(_verdict_parts(band if regions_band is None else regions_band))
     return CalibrationVerdict(
-        classical_reject=bool(regions),
+        classical_reject=eps > 0.0,
         miscalibrated_regions=regions,
         epsilon_certificate=max(0.0, eps),
     )

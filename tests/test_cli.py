@@ -22,8 +22,10 @@ from calband.bands import (
     full_index_family,
     noncrossing_band,
     raw_band,
+    rounded_index_family,
 )
 from calband.cli import _ITEM_SEP, _outward, _read_plain, _read_predictions, _run_texts, main
+from calband.diagnostics import calibration_verdict
 from calband.isotonic import build_sorted_data, pava
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -528,6 +530,37 @@ def test_band_crossing_data_warns_and_reports(capsys):
     assert "reduced 10 requested bins to 2" in err
     assert doc["hosmer_lemeshow"]["p_value"] is None
     assert '"p_value": null' in out
+
+
+def test_band_verdict_regions_end_at_knots_or_printed_levels(capsys, tmp_path):
+    # the regions are read from the band as printed, so their ends do not
+    # move with the last bits of a bound, and they lie inside the computed
+    # band's regions; classical_reject and epsilon_certificate are the
+    # computed band's
+    rng = np.random.default_rng(7)
+    x = rng.random(400)
+    y = rng.random(400) < x**0.4
+    path = tmp_path / "p.csv"
+    rows = "".join(f"{a!r},{int(b)}\n" for a, b in zip(x.tolist(), y.tolist()))
+    path.write_text("prediction,outcome\n" + rows)
+    code, out, _ = _run(capsys, ["band", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    band, verdict = doc["band"], doc["verdict"]
+    ends = set(band["knots"]) | set(band["lower"]) | set(band["upper"]) | {0.0, 1.0}
+    regions = verdict["miscalibrated_regions"]
+    assert regions and all(a in ends and b in ends for a, b in regions)
+    d = build_sorted_data(np.column_stack((x, y.astype(float))))
+    computed = calibration_verdict(
+        noncrossing_band(raw_band(d, rounded_index_family(d, 1000), 0.05), pava(d))
+    )
+    assert verdict["classical_reject"] is computed.classical_reject
+    assert verdict["epsilon_certificate"] == float(
+        _outward(computed.epsilon_certificate, up=False)
+    )
+    for a, b in regions:
+        assert any(lo <= a <= b <= hi for lo, hi in computed.miscalibrated_regions)
+    assert regions != [list(r) for r in computed.miscalibrated_regions]
 
 
 # ---------------------------------------------------------------------------

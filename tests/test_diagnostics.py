@@ -98,6 +98,22 @@ def test_verdict_merges_touching_violation_pieces():
     assert v.miscalibrated_regions == [(0.3, 0.45)]
 
 
+def test_verdict_reads_its_regions_from_a_wider_band():
+    # the regions come from the wider band, here the band with its levels
+    # rounded outward; classical_reject and the certificate stay the band's,
+    # also when the wider band holds the diagonal everywhere
+    band = _band([0.3, 0.6], [0.5000000000001, 0.7], [0.8, 0.9])
+    wider = _band([0.3, 0.6], [0.5, 0.69], [0.8, 0.9])
+    v = calibration_verdict(band, wider)
+    assert v.miscalibrated_regions == [(0.3, 0.5), (0.6, 0.69)]
+    assert v.classical_reject
+    assert v.epsilon_certificate == calibration_verdict(band).epsilon_certificate
+    band = _band([0.5], [0.5000000000001], [0.6])
+    v = calibration_verdict(band, _band([0.5], [0.5], [0.6]))
+    assert v.classical_reject and v.epsilon_certificate > 0.0
+    assert v.miscalibrated_regions == []
+
+
 def test_verdict_rejects_band_outside_unit_interval():
     band = _band([0.5, 1.2], [0.1, 0.2], [0.6, 0.9])
     with pytest.raises(ValueError, match="general covariates"):
