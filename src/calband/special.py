@@ -215,31 +215,52 @@ def _inner_ends(z, m, delta):
     if delta > 0.5:
         ones = np.ones_like(zf)
         return ones + _BRACKET_SLACK, -_BRACKET_SLACK * ones
+    # in place where it can be: the chunks are large, and fresh
+    # temporaries cost more than the arithmetic
     q = zf / mf
-    v = zf * (q - 1.0)  # -m q (1-q)
-    # the floor keeps c finite at z = 0 and z = m, whose ends are set below
-    c = np.maximum(-math.log(delta) - 0.5 * np.log(np.maximum(-8.0 * v, 1.0)), 0.0)
-    lower_hi, upper_lo = _chi2_roots(zf, mf, q, v, c)
-    c2 = c + c
-    lo2, up2 = _chi2_roots(zf, mf, q, v, c2)
-    h = np.sqrt(-c2 * v) / mf
-    upper_lo = np.maximum(upper_lo, np.minimum(q + h, up2)) - _BRACKET_SLACK
-    lower_hi = np.minimum(lower_hi, np.maximum(q - h, lo2)) + _BRACKET_SLACK
+    w4 = 1.0 - q
+    w4 *= zf
+    w4 *= 4.0  # 4 m q (1-q)
+    # c, with a floor that keeps it finite at z = 0 and z = m, whose ends
+    # are set below
+    c = np.maximum(w4, 0.5)
+    np.log(c, out=c)
+    c *= -0.5
+    c += -math.log(delta) - 0.5 * math.log(2.0)
+    np.maximum(c, 0.0, out=c)
+    z2 = zf + zf
+    qz2 = q * z2
+    roots = []
+    for k in (c, c + c):
+        # both roots of m(p-q)^2 = k p(1-p): the larger s / (2(m+k)), the
+        # smaller 2 z^2 / (m s) without cancellation (s > 0: c > 0 at z = 0)
+        s = k + w4
+        s *= k
+        np.sqrt(s, out=s)
+        s += z2
+        s += k
+        larger = mf + k
+        larger += larger
+        np.divide(s, larger, out=larger)
+        roots += [np.divide(qz2, s, out=s), larger]
+    lo1, up1, lo2, up2 = roots
+    h = c * w4
+    h *= 0.5
+    np.sqrt(h, out=h)
+    h /= mf  # sqrt(2c q(1-q)/m)
+    upper_lo = np.add(q, h, out=z2)
+    np.minimum(upper_lo, up2, out=upper_lo)
+    np.maximum(upper_lo, up1, out=upper_lo)
+    upper_lo -= _BRACKET_SLACK
+    lower_hi = np.subtract(q, h, out=h)
+    np.maximum(lower_hi, lo2, out=lower_hi)
+    np.minimum(lower_hi, lo1, out=lower_hi)
+    lower_hi += _BRACKET_SLACK
     at = np.flatnonzero(zf == 0.0)
     upper_lo[at] = -np.expm1(math.log(delta) / mf[at]) - _BRACKET_SLACK
     at = np.flatnonzero(zf == mf)
     lower_hi[at] = np.exp(math.log(delta) / mf[at]) + _BRACKET_SLACK
     return lower_hi, upper_lo
-
-
-def _chi2_roots(zf, mf, q, v, c):
-    """Both roots p of m(p-q)^2 = c p(1-p), smaller first; v = -m q (1-q).
-
-    The smaller is 2 z^2 / (m s), written without cancellation; the floor
-    on s only matters at z = 0, where that root is 0.
-    """
-    s = 2.0 * zf + c + np.sqrt(c * (c - 4.0 * v))
-    return q * (2.0 * zf / np.maximum(s, 1.0)), s / (2.0 * (mf + c))
 
 
 def _kl(q, p):

@@ -491,7 +491,8 @@ def test_inner_ends_hold_the_binomial_tail_at_the_edges():
 def test_inner_ends_are_never_looser_than_the_chi2_ends():
     # Ash's level is at least the method-of-types level, so both ends are
     # at least as tight as the chi-square ones, and far tighter at the
-    # edges; at z = m both upper ends are 1 up to an ulp
+    # edges. Up to an ulp: where both are 1 (z = m) or q (c <= 0), they
+    # may round apart
     rng = np.random.default_rng(17)
     m = np.concatenate([np.arange(1, 60), rng.integers(1, 300_001, size=3000)])
     z = np.minimum((rng.random(m.size) * (m + 1)).astype(np.int64), m)
