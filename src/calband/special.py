@@ -188,7 +188,7 @@ def cp_brackets(z, m, delta):
 
 
 def _inner_ends(z, m, delta):
-    """The inner ends (lower_hi, upper_lo) of cp_brackets over 1-d arrays.
+    """The inner ends (lower_hi, upper_lo) of cp_brackets, elementwise.
 
     With q = z/m and 0 < z < m, Ash's bound C(m, z) >= exp(m H(q)) /
     sqrt(8 z (1-q)) gives P(Bin(m,p) = z) >= exp(-m KL(q||p) - c) delta
@@ -210,11 +210,12 @@ def _inner_ends(z, m, delta):
     log(1/delta) - log(m+1) of the binary method-of-types bound, so the
     ends are never looser than that bound's chi-square root.
     """
-    zf = np.asarray(z, dtype=np.float64)
-    mf = np.asarray(m, dtype=np.float64)
+    zf, mf = (np.asarray(a, dtype=np.float64) for a in np.broadcast_arrays(z, m))
     if delta > 0.5:
         ones = np.ones_like(zf)
         return ones + _BRACKET_SLACK, -_BRACKET_SLACK * ones
+    shape = zf.shape
+    zf, mf = zf.ravel(), mf.ravel()
     # in place where it can be: the chunks are large, and fresh
     # temporaries cost more than the arithmetic
     q = zf / mf
@@ -260,7 +261,7 @@ def _inner_ends(z, m, delta):
     upper_lo[at] = -np.expm1(math.log(delta) / mf[at]) - _BRACKET_SLACK
     at = np.flatnonzero(zf == mf)
     lower_hi[at] = np.exp(math.log(delta) / mf[at]) + _BRACKET_SLACK
-    return lower_hi, upper_lo
+    return lower_hi.reshape(shape), upper_lo.reshape(shape)
 
 
 def _kl(q, p):

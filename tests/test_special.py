@@ -507,6 +507,17 @@ def test_inner_ends_are_never_looser_than_the_chi2_ends():
             assert (lower_hi < chi2_lower_hi - 1e-6).mean() > 0.5
 
 
+def test_cp_brackets_take_scalars_and_broadcast():
+    # elementwise like the rest of cp_brackets: a scalar count, and an
+    # array of counts against one size, give the ends of the full arrays
+    z = np.array([0, 1, 7, 39, 40])
+    for delta in (0.7, 0.05, 1e-30):
+        want = np.array(cp_brackets(z, np.full(5, 40), delta))
+        np.testing.assert_array_equal(np.array(cp_brackets(z, 40, delta)), want)
+        each = np.array([cp_brackets(int(zi), 40, delta) for zi in z]).T
+        np.testing.assert_array_equal(each, want)
+
+
 def test_cp_bounds_batch_is_the_same_under_either_inner_guard(monkeypatch):
     # the solver reads the inner ends only as a guard on its bracket, so
     # the chi-square ends give the same bounds, bit for bit
