@@ -614,12 +614,15 @@ def evaluate_band(band, x, extrapolate):
     the right. With extrapolate=False, x outside [first knot, last knot]
     raises; with True, the step functions continue per the sentinel rules
     (lower 0 left / end level right, upper start level left / 1 right).
-    Accepts a scalar or an array and returns matching shapes.
+    A non-finite x raises in both modes. Accepts a scalar or an array and
+    returns matching shapes.
     """
     knots = band.knots
     xarr = np.asarray(x, dtype=np.float64)
     scalar = xarr.ndim == 0
     xq = np.atleast_1d(xarr)
+    if not np.isfinite(xq).all():
+        raise ValueError("x must be finite")
     if not extrapolate:
         if (xq < knots[0]).any() or (xq > knots[-1]).any():
             raise ValueError(

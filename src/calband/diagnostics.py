@@ -309,9 +309,12 @@ def isotonicity_report(data, family, band, alpha):
     band is raw_band(data, family, alpha), which the caller has already
     built for its own use; the report reads gamma and the crossing regions
     from it instead of building it again, and the p-value starts from it.
+    A band that records another alpha raises ValueError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1)")
+    if band.alpha is not None and band.alpha != alpha:
+        raise ValueError(f"band was built at alpha={band.alpha}, not {alpha}")
     return IsotonicityReport(
         p_value=isotonicity_pvalue(data, family, band),
         gamma_hat=0.5 * max(0.0, _crossing_gap(band)),

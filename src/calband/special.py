@@ -13,22 +13,23 @@ one minus the mirrored tail above it. _beta_root finds the root in log x
 by steps to the roots of the tail's Taylor polynomials, each checked by
 an evaluation; the root it returns lies on the left by its own forward
 check, so both bounds are outward. Two evaluations per root suffice
-almost always. Every step is elementwise, so a bound never depends on the
-other entries of its batch.
+almost always. Each entry's formula is chosen by its own values, never by
+a count over its batch, so a bound has the same bits whatever else its
+batch holds.
 
-cp_brackets puts each bound inside a closed-form bracket: Hoeffding on
-the outer side; on the inner side Ash's lower bound on the binomial
-coefficient, with KL(q || p) bounded by two quadratics in p - q
-(_inner_ends), exact at z = 0 and z = m. _kl_outer and _kl_inner tighten
-the ends to the roots they relax: the Chernoff bound outside, Ash's
-bound with KL itself inside, a few vectorized Newton and false-position
-steps each, every end checked by one KL evaluation. Band construction
-reads only the inner ends, closed-form in both of its passes and KL in
-the exact one, and tests them against caps made of exact bounds, which
-on a sweep replication (n = 8192, K = 1000) leaves the exact solve about
-1.5% of the pair sides. _beta_root starts from the _kl_outer end, on the
-root's left, and keeps every step inside that bracket; the inner end is
-only its guard on the right.
+Closed forms bound each root on both sides. The inner ends
+(_inner_ends) are Ash's lower bound on the binomial coefficient, with
+KL(q || p) bounded by two quadratics in p - q, exact at z = 0 and z = m;
+_kl_inner tightens them to the root of Ash's bound with KL itself.
+Band construction reads only the inner ends, closed-form in both of its
+passes and KL in the exact one, and tests them against caps made of
+exact bounds, which on a sweep replication (n = 8192, K = 1000) leaves
+the exact solve about 1.5% of the pair sides. The solver's outer end is
+Hoeffding's, which _kl_outer tightens to the Chernoff root. The KL
+steps are a few vectorized Newton and false-position steps, every end
+checked by one KL evaluation. _beta_root starts from the outer end, on
+the root's left, and keeps every step inside it and the closed-form
+inner end, which is only its guard on the right.
 
 chi2_survival, the tail the Hosmer-Lemeshow baseline is referred to, is
 written against the math module only.
@@ -42,7 +43,6 @@ __all__ = [
     "cp_upper",
     "cp_lower",
     "cp_bounds_batch",
-    "cp_brackets",
     "reg_inc_gamma_upper",
     "chi2_survival",
     "DELTA_FLOOR",
@@ -88,10 +88,10 @@ _AIM = 0.4
 _WIN = 6.0
 _ROOT_STEPS = 64
 
-#: Absolute widening of every cp_brackets end. The closed forms round at
-#: about 1e-16 and the roots _beta_root returns lie within about 1e-13
-#: relative of the exact ones, so the widened brackets contain the
-#: computed bounds, not only the exact ones.
+#: Absolute widening of every end around a bound: Hoeffding's, _inner_ends'
+#: and the KL ends. The closed forms round at about 1e-16 and the roots
+#: _beta_root returns lie within about 1e-13 relative of the exact ones, so
+#: the widened ends hold the computed bounds, not only the exact ones.
 _BRACKET_SLACK = 1e-9
 
 #: Newton steps per KL end in _kl_outer and _kl_inner, and the relative
@@ -164,31 +164,11 @@ def chi2_survival(stat, df):
 # --------------------------------------------------------------------------
 # Batch Clopper-Pearson evaluation, the hot path of band construction.
 
-def cp_brackets(z, m, delta):
-    """Closed-form brackets around cp_lower and cp_upper, elementwise.
-
-    Returns float64 arrays (lower_lo, lower_hi, upper_lo, upper_hi) with
-    lower_lo <= cp_lower(z, m, delta) <= lower_hi and
-    upper_lo <= cp_upper(z, m, delta) <= upper_hi. With q = z/m:
-
-    - upper_hi = min(1, q + sqrt(log(1/delta)/(2m))), Hoeffding's bound.
-    - upper_lo and lower_hi are the inner ends of _inner_ends.
-    - lower_lo mirrors upper_hi through cp_lower(z, m) = 1 - cp_upper(m-z, m).
-
-    Every end is widened by _BRACKET_SLACK = 1e-9, so the brackets also
-    hold the rounded values cp_bounds_batch returns.
-    """
-    mf = np.asarray(m, dtype=np.float64)
-    q = np.asarray(z, dtype=np.float64) / mf
-    h = np.sqrt(-math.log(delta) / (2.0 * mf))
-    upper_hi = np.minimum(q + h, 1.0) + _BRACKET_SLACK
-    lower_lo = np.maximum(q - h, 0.0) - _BRACKET_SLACK
-    lower_hi, upper_lo = _inner_ends(z, m, delta)
-    return lower_lo, lower_hi, upper_lo, upper_hi
-
-
 def _inner_ends(z, m, delta):
-    """The inner ends (lower_hi, upper_lo) of cp_brackets, elementwise.
+    """The inner ends (lower_hi, upper_lo) around the bounds, elementwise.
+
+    cp_lower(z, m, delta) <= lower_hi and upper_lo <= cp_upper(z, m,
+    delta), for integer arrays or scalars z and m that broadcast.
 
     With q = z/m and 0 < z < m, Ash's bound C(m, z) >= exp(m H(q)) /
     sqrt(8 z (1-q)) gives P(Bin(m,p) = z) >= exp(-m KL(q||p) - c) delta
@@ -301,45 +281,44 @@ def _kl_terms(z, m, delta, upper):
     return zf, mf, q, -math.log(delta) / mf, h, (zu > 0) & (zu < m), exact
 
 
-def _kl_outer(z, m, delta, outer, upper):
-    """Tighten one side's cp_brackets outer end to its Chernoff root.
+def _kl_outer(z, m, delta, outer):
+    """Tighten outer, Hoeffding's end below cp_lower, to its Chernoff root.
 
-    outer is upper_hi (upper=True) or lower_lo (upper=False). With q = z/m
-    and t = log(1/delta), Chernoff gives P(Bin(m, p) <= z) <=
-    exp(-m KL(q || p)) for p > q, so beyond the root p > q of
-    m KL(q || p) = t the CDF is < delta and p is above cp_upper(z, m,
-    delta). From _kl_start, Newton steps on the convex, increasing KL stay
-    above the root; they aim at t (1 + _KL_AIM) so a converged step
-    passes. At z = 0 the end is the exact bound 1 - delta^(1/m). The end
-    is checked by one KL evaluation; one that fails, or is NaN, falls back
-    to the cp_brackets end, as does the end at z = m. upper=False refines
-    the lower side through cp_lower(z, m) = 1 - cp_upper(m - z, m). The
-    end is widened by _BRACKET_SLACK and returned inside the given one.
+    The steps work on the mirror, cp_lower(z, m) = 1 - cp_upper(w, m) with
+    w = m - z. With q = w/m and t = log(1/delta), Chernoff gives
+    P(Bin(m, p) <= w) <= exp(-m KL(q || p)) for p > q, so beyond the root
+    p > q of m KL(q || p) = t the CDF is < delta, p is above
+    cp_upper(w, m, delta) and 1 - p below cp_lower(z, m, delta). From
+    _kl_start, Newton steps on the convex, increasing KL stay above the
+    root; they aim at t (1 + _KL_AIM) so a converged step passes. At w = 0
+    the end is the exact bound delta^(1/m). The end is checked by one KL
+    evaluation; one that fails, or is NaN, falls back to outer, as does
+    the end at z = 0. It is widened by _BRACKET_SLACK and returned inside
+    outer.
     """
-    _, _, q, t, h, mid, exact = _kl_terms(z, m, delta, upper)
+    _, _, q, t, h, mid, exact = _kl_terms(z, m, delta, False)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         level = t * (1.0 + _KL_AIM)
         p = _kl_start(q, h, level)
         for _ in range(_KL_STEPS):
             p = _kl_newton(q, p, _kl(q, p), level)
         out = np.where(mid & (p > q) & (_kl(q, p) >= t), p, exact)
-    if upper:
-        return np.fmin(outer, out + _BRACKET_SLACK)
     return np.fmax(outer, (1.0 - out) - _BRACKET_SLACK)
 
 
 def _kl_inner(z, m, delta, inner, upper):
-    """Tighten one side's cp_brackets inner end to its KL root.
+    """Tighten one side's closed-form inner end (_inner_ends) to its KL root.
 
     inner is upper_lo (upper=True) or lower_hi (upper=False). In the upper
     side's terms the level is c = t - log(8 z (1 - q)) / 2 for 0 < z < m:
     Ash's bound C(m, z) >= exp(m H(q)) / sqrt(8 z (1 - q)) gives
     P(Bin(m, p) = z) >= exp(-m KL(q || p) - t + c), which reaches delta
     wherever m KL <= c. Each step is a Newton step on an outer point and a
-    false-position chord from the last inner point (q or the cp_brackets
+    false-position chord from the last inner point (q or the closed-form
     end at first); a chord of a convex function lands inside the root. The
-    end is checked by one KL evaluation and falls back as in _kl_outer;
-    it is widened by _BRACKET_SLACK and returned inside the given one.
+    end is checked by one KL evaluation; one that fails, or is NaN, falls
+    back to inner, as does the end at z = m. It is widened by
+    _BRACKET_SLACK and returned inside inner.
     """
     zf, mf, q, t, h, mid, exact = _kl_terms(z, m, delta, upper)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -384,18 +363,12 @@ def _bd0(x, mu):
     """
     d = x - mu
     v = d / (x + mu)
-    use_near = np.abs(v) < 0.1
-    n_near = np.count_nonzero(use_near)
-    if n_near < v.size:
-        far = x * np.log1p(d / mu) - d
-        if not n_near:
-            return far
     v2 = v * v
     p = _BD0_SERIES[0]
     for c in _BD0_SERIES[1:]:
         p = p * v2 + c
     near = d * v + 2.0 * x * v * v2 * p
-    return near if n_near == v.size else np.where(use_near, near, far)
+    return np.where(np.abs(v) < 0.1, near, x * np.log1p(d / mu) - d)
 
 
 def _betacf(a, b, x):
@@ -515,8 +488,7 @@ class _Tail:
         """log P(Bin(m, x) = a)."""
         a, m, r = self.a, self.m, self.r
         lp = self.const - _bd0(a, m * x) - _bd0(r, m * (1.0 - x))
-        edge = r == 0.0
-        return np.where(edge, m * np.log(x), lp) if np.count_nonzero(edge) else lp
+        return np.where(r == 0.0, m * np.log(x), lp)
 
     def log_c(self):
         """log C(m, a): log_pmf at x = a/m less its powers of x and 1 - x."""
@@ -536,26 +508,21 @@ class _Tail:
         lp = self.log_pmf(x)
         lq = np.log1p(-x)
         flip = x > self.switch
-        mirrored = np.count_nonzero(flip)
-        if mirrored:
-            # the mirrored fraction, in 1 - x, cancels by about
-            # b / (m x - a + 1): with b > a, J is summed from its largest term
-            head = flip & (b > a)
-            cf = ~head
-            h = np.empty(x.shape[0])
-            h[head] = _head_sum(a[head], self.m[head], x[head]) / x[head]
-            h[cf] = _betacf(
-                np.where(flip, b, a)[cf], np.where(flip, a, b)[cf], np.where(flip, 1.0 - x, x)[cf]
-            )
-        else:
-            h = _betacf(a, b, x)
+        # the mirrored fraction, in 1 - x, cancels by about
+        # b / (m x - a + 1): with b > a, J is summed from its largest term
+        head = flip & (b > a)
+        cf = ~head
+        h = np.empty(x.shape[0])
+        h[head] = _head_sum(a[head], self.m[head], x[head]) / x[head]
+        h[cf] = _betacf(
+            np.where(flip, b, a)[cf], np.where(flip, a, b)[cf], np.where(flip, 1.0 - x, x)[cf]
+        )
         h = np.log(h)
         log_i = lp + lq + h
         err = (2.0 * np.abs(self.const) - lp - lq + np.abs(h)) * 2.0**-52
-        if mirrored:
-            log_i = np.where(flip, np.log1p(-np.exp(log_i + np.log(a / b))), log_i)
-            # log1p(-J) takes J's relative error times J / (1 - J)
-            err = np.where(flip, err * np.expm1(-log_i), err)
+        log_i = np.where(flip, np.log1p(-np.exp(log_i + np.log(a / b))), log_i)
+        # log1p(-J) takes J's relative error times J / (1 - J)
+        err = np.where(flip, err * np.expm1(-log_i), err)
         return log_i, a * np.exp(lp - log_i), err
 
     def step(self, f, s, x, order):
@@ -656,11 +623,14 @@ def _beta_root(a, m, delta, lo, hi):
 def _lower_bounds(z, m, delta):
     """cp_lower over integer arrays, by _beta_root from the _kl_outer end.
 
-    The closed-form inner end bounds the search on the other side; the
-    solver only needs it as a guard, so it is not tightened.
+    _kl_outer tightens Hoeffding's end max(q - sqrt(log(1/delta)/(2m)), 0),
+    q = z/m. The closed-form inner end bounds the search on the other
+    side; the solver only needs it as a guard, so it is not tightened.
     """
-    lower_lo, lower_hi, _, _ = cp_brackets(z, m, delta)
-    lo = _kl_outer(z, m, delta, lower_lo, False)
+    mf = m.astype(np.float64)
+    hoeffding = np.maximum(z / mf - np.sqrt(-math.log(delta) / (2.0 * mf)), 0.0) - _BRACKET_SLACK
+    lo = _kl_outer(z, m, delta, hoeffding)
+    lower_hi = _inner_ends(z, m, delta)[0]
     out = np.zeros(z.shape)
     mid = z > 0
     if mid.any():
@@ -686,10 +656,16 @@ def cp_bounds_batch(z, m, delta, lower_where=True, upper_where=True):
     Every root it returns is on the root's left by its own forward
     evaluation of the tail, so both bounds are outward. Each bound
     depends on its own (z, m, delta) only, not on the other entries of
-    its batch.
+    its batch. Counts that are not finite integers raise ValueError.
     """
-    z = np.asarray(z, dtype=np.int64)
-    m = np.asarray(m, dtype=np.int64)
+    z, m = np.asarray(z), np.asarray(m)
+    for counts in (z, m):
+        # integer dtypes, the band engine's, need no check
+        if counts.dtype.kind not in "iu":
+            f = counts.astype(np.float64)
+            if not (np.isfinite(f) & (f == np.trunc(f))).all():
+                raise ValueError(f"counts z and m must be finite integers, got {counts}")
+    z, m = z.astype(np.int64, copy=False), m.astype(np.int64, copy=False)
     if z.shape != m.shape:
         raise ValueError(f"shape mismatch: z{z.shape} vs m{m.shape}")
     if not 0.0 < delta < 1.0:

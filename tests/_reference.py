@@ -79,6 +79,17 @@ def chi2_inner_ends(z, m, delta, slack=1e-9):
     return lower_hi, s / (2.0 * (mf + c)) - slack
 
 
+def hoeffding_lower_ends(z, m, delta, slack=1e-9):
+    """Hoeffding's outer ends below cp_lower, elementwise, widened by slack.
+
+    max(q - sqrt(log(1/delta)/(2m)), 0) - slack with q = z/m: the end the
+    bound solver tightens to its Chernoff root (special._kl_outer).
+    """
+    zf = np.asarray(z, dtype=np.float64)
+    mf = np.asarray(m, dtype=np.float64)
+    return np.maximum(zf / mf - np.sqrt(-math.log(delta) / (2.0 * mf)), 0.0) - slack
+
+
 def pava_exhaustive(data):
     """Isotonic least squares by enumerating consecutive-block partitions.
 

@@ -1,6 +1,7 @@
 """Tests for index-pair families, the confidence bands, and evaluation."""
 
 import itertools
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -653,6 +654,11 @@ def test_evaluate_band_refuses_extrapolation_by_default():
         evaluate_band(band, 0.1, extrapolate=False)
     with pytest.raises(ValueError, match="extrapolate"):
         evaluate_band(band, np.array([0.3, 0.51]), extrapolate=False)
+    # NaN fails both range comparisons; it is refused in either mode
+    for extrapolate in (False, True):
+        for x in (math.nan, np.array([0.3, math.nan]), math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate_band(band, x, extrapolate=extrapolate)
 
 
 def test_evaluate_band_array_matches_scalar():

@@ -393,6 +393,9 @@ def test_gamma_validates_alpha():
     for bad in (0.0, 1.0, 2.0):
         with pytest.raises(ValueError):
             isotonicity_report(d, fam, band, bad)
+    # a band built at 0.05 would report its gamma and regions under 0.5
+    with pytest.raises(ValueError, match="alpha=0.05"):
+        isotonicity_report(d, fam, band, 0.5)
 
 
 def test_report_bundles_consistent_fields():

@@ -15,6 +15,7 @@ from _reference import (
     chi2_inner_ends,
     cp_lower_by_inversion,
     cp_upper_by_inversion,
+    hoeffding_lower_ends,
 )
 from calband.special import (
     DELTA_FLOOR,
@@ -23,7 +24,6 @@ from calband.special import (
     _kl_outer,
     chi2_survival,
     cp_bounds_batch,
-    cp_brackets,
     cp_lower,
     cp_upper,
     reg_inc_gamma_upper,
@@ -382,26 +382,27 @@ def test_cp_hoeffding_envelope_grid():
 
 
 def test_cp_brackets_contain_exact_bounds():
+    # the bracket ends around each bound: Hoeffding's below cp_lower, and
+    # the closed-form inner ends
     deltas = (0.9, 0.5, 0.3, 0.05, 1e-6, 1e-30, 1e-100, 1e-200, 1e-300)
     for delta in deltas:
         for m in (1, 2, 3, 5, 10, 40, 100, 1000, 10104, 200000):
             z = np.unique(np.linspace(0, m, min(m + 1, 301)).astype(np.int64))
             mm = np.full(z.shape, m)
-            lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, mm, delta)
+            lower_lo = hoeffding_lower_ends(z, mm, delta)
+            lower_hi, upper_lo = _inner_ends(z, mm, delta)
             lo, up = cp_bounds_batch(z, mm, delta)
             assert ((lower_lo <= lo) & (lo <= lower_hi)).all()
-            assert ((upper_lo <= up) & (up <= upper_hi)).all()
-            # the Hoeffding ends are the envelope above
-            margin = math.sqrt(math.log(1.0 / delta) / (2.0 * m))
-            assert (upper_hi <= np.minimum(z / m + margin, 1.0) + 1e-9).all()
-            assert (lower_lo >= np.maximum(z / m - margin, 0.0) - 1e-9).all()
+            assert (upper_lo <= up).all()
+            # the solver starts from the Chernoff end, inside Hoeffding's
+            outer = _kl_outer(z, mm, delta, lower_lo)
+            assert ((lower_lo <= outer) & (outer <= lo)).all()
             if m <= 40 and delta >= 1e-6:
                 # the inversion oracle is independent of scipy
                 for i, zi in enumerate(z.tolist()):
                     want = cp_lower_by_inversion(zi, m, delta)
                     assert lower_lo[i] <= want <= lower_hi[i]
-                    want = cp_upper_by_inversion(zi, m, delta)
-                    assert upper_lo[i] <= want <= upper_hi[i]
+                    assert upper_lo[i] <= cp_upper_by_inversion(zi, m, delta)
 
 
 def _log_binom_cdf(z, m, p, mirror=False):
@@ -426,23 +427,23 @@ def _log_binom_cdf(z, m, p, mirror=False):
 def test_kl_brackets_hold_the_exact_bounds_without_scipy():
     # each refined end is checked against the binomial tail itself, not
     # against values the guard clipped into it: P(Bin(m, p) <= z) is at
-    # most delta at the upper bound's outer end and at least delta at its
-    # inner end; the lower side's tail P(Bin(m, p) >= z) is
-    # P(Bin(m, 1 - p) <= m - z)
+    # least delta at the upper bound's inner end; the lower side's tail
+    # P(Bin(m, p) >= z) is P(Bin(m, 1 - p) <= m - z), at most delta at
+    # its outer end and at least delta at its inner end
     rng = np.random.default_rng(113)
     m = np.concatenate([[1, 2, 3, 2000, 2000], rng.integers(1, 2001, size=55)])
     z = np.minimum((rng.random(m.size) * (m + 1)).astype(np.int64), m)
     z[:5] = [0, 1, 3, 1000, 1999]
     for delta in (0.3, 0.05, 1e-7, 1e-30, 1e-100, 1e-200, 1e-300):
         log_d = math.log(delta)
-        lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, delta)
-        up_lo, up_hi = _kl_inner(z, m, delta, upper_lo, True), _kl_outer(z, m, delta, upper_hi, True)
-        lo_lo, lo_hi = _kl_outer(z, m, delta, lower_lo, False), _kl_inner(z, m, delta, lower_hi, False)
-        assert ((upper_lo <= up_lo) & (up_lo <= up_hi) & (up_hi <= upper_hi)).all()
+        lower_lo = hoeffding_lower_ends(z, m, delta)
+        lower_hi, upper_lo = _inner_ends(z, m, delta)
+        up_lo = _kl_inner(z, m, delta, upper_lo, True)
+        lo_lo, lo_hi = _kl_outer(z, m, delta, lower_lo), _kl_inner(z, m, delta, lower_hi, False)
+        assert (upper_lo <= up_lo).all()
         assert ((lower_lo <= lo_lo) & (lo_lo <= lo_hi) & (lo_hi <= lower_hi)).all()
         for i, (zi, mi) in enumerate(zip(z.tolist(), m.tolist())):
             if zi < mi:
-                assert _log_binom_cdf(zi, mi, up_hi[i]) <= log_d
                 assert _log_binom_cdf(zi, mi, up_lo[i]) >= log_d
             if zi > 0:
                 assert _log_binom_cdf(mi - zi, mi, 1.0 - lo_lo[i]) <= log_d
@@ -451,17 +452,18 @@ def test_kl_brackets_hold_the_exact_bounds_without_scipy():
 
 def test_kl_brackets_are_tighter_where_bands_prune():
     # at a Bonferroni-sized delta the KL ends leave a fraction of the
-    # width the chi-square inner ends leave
+    # width the chi-square inner ends leave: of the bracket below cp_lower,
+    # and of the gap below cp_upper
     z = np.array([3, 50, 500, 9105, 20])
     m = np.array([40, 100, 1000, 10104, 8000])
-    lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, 1e-7)
-    up_lo, up_hi = _kl_inner(z, m, 1e-7, upper_lo, True), _kl_outer(z, m, 1e-7, upper_hi, True)
-    lo_lo, lo_hi = _kl_outer(z, m, 1e-7, lower_lo, False), _kl_inner(z, m, 1e-7, lower_hi, False)
+    lower_lo = hoeffding_lower_ends(z, m, 1e-7)
+    lower_hi, upper_lo = _inner_ends(z, m, 1e-7)
+    up_lo = _kl_inner(z, m, 1e-7, upper_lo, True)
+    lo_lo, lo_hi = _kl_outer(z, m, 1e-7, lower_lo), _kl_inner(z, m, 1e-7, lower_hi, False)
     chi2_lower_hi, chi2_upper_lo = chi2_inner_ends(z, m, 1e-7)
-    assert (up_hi - up_lo < 0.5 * (upper_hi - chi2_upper_lo)).all()
+    up = cp_bounds_batch(z, m, 1e-7)[1]
+    assert (up - up_lo < 0.5 * (up - chi2_upper_lo)).all()
     assert (lo_hi - lo_lo < 0.5 * (chi2_lower_hi - lower_lo)).all()
-    # the closed-form inner ends alone are the ones of cp_brackets
-    np.testing.assert_array_equal(_inner_ends(z, m, 1e-7), (lower_hi, upper_lo))
 
 
 _INNER_DELTAS = (0.5, 0.3, 0.05, 1e-7, 1e-30, 1e-100, 1e-200, 1e-300)
@@ -508,13 +510,13 @@ def test_inner_ends_are_never_looser_than_the_chi2_ends():
 
 
 def test_cp_brackets_take_scalars_and_broadcast():
-    # elementwise like the rest of cp_brackets: a scalar count, and an
-    # array of counts against one size, give the ends of the full arrays
+    # the inner ends are elementwise: a scalar count, and an array of
+    # counts against one size, give the ends of the full arrays
     z = np.array([0, 1, 7, 39, 40])
     for delta in (0.7, 0.05, 1e-30):
-        want = np.array(cp_brackets(z, np.full(5, 40), delta))
-        np.testing.assert_array_equal(np.array(cp_brackets(z, 40, delta)), want)
-        each = np.array([cp_brackets(int(zi), 40, delta) for zi in z]).T
+        want = np.array(_inner_ends(z, np.full(5, 40), delta))
+        np.testing.assert_array_equal(np.array(_inner_ends(z, 40, delta)), want)
+        each = np.array([_inner_ends(int(zi), 40, delta) for zi in z]).T
         np.testing.assert_array_equal(each, want)
 
 
@@ -553,8 +555,9 @@ def test_cp_upper_far_tail_is_conservative(z, m, delta, exact):
 def test_cp_brackets_are_tight_where_they_prune():
     z = np.array([0, 3, 50, 500, 9105])
     m = np.array([40, 40, 100, 1000, 10104])
-    lower_lo, lower_hi, upper_lo, upper_hi = cp_brackets(z, m, 1e-7)
-    assert (upper_hi - upper_lo < 0.25).all()
+    lower_lo = hoeffding_lower_ends(z, m, 1e-7)
+    lower_hi, upper_lo = _inner_ends(z, m, 1e-7)
+    assert (cp_bounds_batch(z, m, 1e-7)[1] - upper_lo < 0.25).all()
     assert (lower_hi - lower_lo < 0.25).all()
     # the method-of-types ends sit on the far side of the rate
     q = z / m
@@ -620,6 +623,17 @@ def test_cp_domain_and_underflow_errors():
         cp_upper(2, 5, 1e-310)
     # just above the floor still works and stays in [0, 1]
     assert 0.0 <= cp_upper(2, 5, 1e-299) <= 1.0
+    # counts that are not finite integers are refused, not truncated;
+    # integral floats are counts
+    for z, m in ((1.5, 3), (2.9, 3.7), (2, 3.5), (math.nan, 3), (1, math.inf)):
+        with pytest.raises(ValueError, match="finite integers"):
+            cp_lower(z, m, 0.05)
+        with pytest.raises(ValueError, match="finite integers"):
+            cp_upper(z, m, 0.05)
+    with pytest.raises(ValueError, match="finite integers"):
+        cp_bounds_batch(np.array([1.0, 2.5]), np.array([3, 3]), 0.05)
+    assert cp_lower(1.0, 3.0, 0.05) == cp_lower(1, 3, 0.05)
+    assert cp_upper(np.int32(2), np.uint8(3), 0.05) == cp_upper(2, 3, 0.05)
 
 
 def test_cp_bounds_batch_matches_scalar():
