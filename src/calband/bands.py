@@ -183,12 +183,7 @@ def _pair_chunks(data, family):
     and outcome counts before a pair's first and after its last group.
     """
     row_b = data.group_starts[family.row_j]
-    ends = family.k_values + 1
-    col_b = np.where(
-        ends < data.n_groups,
-        data.group_starts[np.minimum(ends, data.n_groups - 1)],
-        data.n,
-    )
+    col_b = data.group_bounds[family.k_values + 1]
     row_ps = data.prefix_sums[row_b]
     col_ps = data.prefix_sums[col_b]
     first = family.row_first_k
@@ -232,22 +227,20 @@ class _Survivors:
     must pass, tightened after every solve by the suffix-min over rows
     (prefix-max over columns) of out. champions are _bracket_levels'
     (zm, inner) for this side; the constructor bounds the champions whose
-    inner end passes the cap, so a pair with its index's champion's (z, m)
-    has its bound in out already or fails the cap too. flush
-    solves in two rounds: first, per index, the pair whose KL inner end is
-    most extreme; then only the pairs whose inner end still passes the cap
-    those bounds tightened. Pairs are batched across chunks, so
-    cp_bounds_batch calls stay few, and a batch is flushed early at
-    _CHUNK_MIN pairs, which bounds the memory it holds. zm holds the
-    (z, m) of the pair whose bound is in out, per index.
+    inner end passes the cap. flush solves in two rounds: first, per
+    index, the pair whose KL inner end is most extreme; then only the
+    pairs whose inner end still passes the cap those bounds tightened.
+    Pairs are batched across chunks, so cp_bounds_batch calls stay few,
+    and a batch is flushed early at _CHUNK_MIN pairs, which bounds the
+    memory it holds. zm holds the (z, m) of the pair whose bound is in
+    out, per index.
     """
 
     def __init__(self, delta, upper, cap, champions):
         self.delta = delta
         self.upper = upper
         self.cap = cap
-        self.champions, inner = champions
-        z, m = self.champions
+        (z, m), inner = champions
         self.out = np.full(cap.shape[0], np.inf if upper else -np.inf)
         self.zm = np.zeros((2, cap.shape[0]), dtype=np.int64)
         self.pieces = []
@@ -262,8 +255,7 @@ class _Survivors:
         return inner >= self.cap[index]
 
     def add(self, z, m, index, inner):
-        z0, m0 = self.champions[:, index]
-        keep = self.passes(inner, index) & ((z != z0) | (m != m0))
+        keep = self.passes(inner, index)
         self.pieces.append((z[keep], m[keep], index[keep], inner[keep]))
         self.size += self.pieces[-1][0].shape[0]
         if self.size >= _CHUNK_MIN:
@@ -425,8 +417,7 @@ def raw_band(data, family, alpha):
     upper(x_{row_j[r]}) <= X_u[r], so its bracket passes the test
     (likewise for the lower side), because cp_bounds_batch keeps every
     bound inside its refined bracket, which lies inside its closed-form
-    one. A pair with its row's (column's) champion's (z, m) is not bounded
-    again: its bound is the champion's, in X_u (X_l) already.
+    one.
 
     The levels stay per row and per column until the end: upper is
     constant on the knots from one row's start to the next, lower on the

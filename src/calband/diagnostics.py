@@ -337,17 +337,12 @@ def hosmer_lemeshow(data, g=10):
         raise ValueError(f"need at least 2 bins, got g={g}")
     if n < g:
         raise ValueError(f"need at least g={g} observations, got n={n}")
-    x = data.x
-    y = data.y
-    edges = [0]
-    for t in range(1, g):
-        cut = (n * t) // g
-        while 0 < cut < n and x[cut] == x[cut - 1]:
-            cut += 1
-        edges.append(cut)
-    edges.append(n)
-    edges = sorted(set(edges))
-    bins = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+    # each cut n t / g moves right to the next group boundary, so a tie
+    # run straddling it stays whole in the lower bin
+    bounds = data.group_bounds
+    cuts = n * np.arange(g + 1) // g
+    edges = np.unique(bounds[np.searchsorted(bounds, cuts)]).tolist()
+    bins = list(zip(edges[:-1], edges[1:]))
     if len(bins) < 2:
         raise ValueError("tie structure leaves fewer than 2 nonempty bins")
     if len(bins) < g:
@@ -358,8 +353,9 @@ def hosmer_lemeshow(data, g=10):
     stat = 0.0
     for idx, (s, e) in enumerate(bins):
         n_g = e - s
-        obs = float(y[s:e].sum())
-        exp = float(x[s:e].sum())
+        obs = float(data.prefix_sums[e] - data.prefix_sums[s])
+        # summed over the slice, as the statistic's bits depend on the order
+        exp = float(data.x[s:e].sum())
         if exp == 0.0 or exp == float(n_g):
             raise ValueError(
                 f"bin {idx + 1} of {len(bins)} has degenerate expected count "

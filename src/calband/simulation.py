@@ -24,7 +24,6 @@ from .bands import (
     rounded_index_family,
     yb_band,
 )
-from .diagnostics import _crossing_gap
 from .isotonic import build_sorted_data, pava
 
 __all__ = [
@@ -266,7 +265,8 @@ def run_experiment(
         fit = pava(data) if needs_fit else None
         # every band's knots are the data's distinct x values
         p_knots = eval_p(family, rawb.knots)
-        rejected[rep] = _crossing_gap(rawb) > 0.0
+        # raw_band records a crossing witness exactly when the band crosses
+        rejected[rep] = rawb.witness is not None
 
         for j, method in enumerate(methods):
             if method == "raw":

@@ -17,15 +17,15 @@ almost always. Each entry's formula is chosen by its own values, never by
 a count over its batch, so a bound has the same bits whatever else its
 batch holds.
 
-Closed forms bound each root on both sides. The inner ends
-(_inner_ends) are Ash's lower bound on the binomial coefficient, with
-KL(q || p) bounded by two quadratics in p - q, exact at z = 0 and z = m;
-_kl_inner tightens them to the root of Ash's bound with KL itself.
-Band construction reads only the inner ends, closed-form in both of its
+Closed forms bound each root on both sides. The inner ends (_inner_ends)
+are Ash's lower bound on the binomial coefficient, with KL(q || p)
+bounded by two quadratics in p - q, exact at z = 0 and z = m; _kl_inner
+tightens them to the root of Ash's bound with KL itself. Band
+construction reads only the inner ends, closed-form in both of its
 passes and KL in the exact one, and tests them against caps made of
 exact bounds, which on a sweep replication (n = 8192, K = 1000) leaves
-the exact solve about 1.5% of the pair sides. The solver's outer end is
-Hoeffding's, which _kl_outer tightens to the Chernoff root. The KL
+the exact solve about 1.5-1.7% of the pair sides. The solver's outer end
+is Hoeffding's, which _kl_outer tightens to the Chernoff root. The KL
 steps are a few vectorized Newton and false-position steps, every end
 checked by one KL evaluation. _beta_root starts from the outer end, on
 the root's left, and keeps every step inside it and the closed-form
@@ -168,7 +168,7 @@ def _inner_ends(z, m, delta):
     """The inner ends (lower_hi, upper_lo) around the bounds, elementwise.
 
     cp_lower(z, m, delta) <= lower_hi and upper_lo <= cp_upper(z, m,
-    delta), for integer arrays or scalars z and m that broadcast.
+    delta), for 1-d integer arrays z and m of one shape.
 
     With q = z/m and 0 < z < m, Ash's bound C(m, z) >= exp(m H(q)) /
     sqrt(8 z (1-q)) gives P(Bin(m,p) = z) >= exp(-m KL(q||p) - c) delta
@@ -190,12 +190,10 @@ def _inner_ends(z, m, delta):
     log(1/delta) - log(m+1) of the binary method-of-types bound, so the
     ends are never looser than that bound's chi-square root.
     """
-    zf, mf = (np.asarray(a, dtype=np.float64) for a in np.broadcast_arrays(z, m))
+    zf, mf = z.astype(np.float64), m.astype(np.float64)
     if delta > 0.5:
         ones = np.ones_like(zf)
         return ones + _BRACKET_SLACK, -_BRACKET_SLACK * ones
-    shape = zf.shape
-    zf, mf = zf.ravel(), mf.ravel()
     # in place where it can be: the chunks are large, and fresh
     # temporaries cost more than the arithmetic
     q = zf / mf
@@ -241,7 +239,7 @@ def _inner_ends(z, m, delta):
     upper_lo[at] = -np.expm1(math.log(delta) / mf[at]) - _BRACKET_SLACK
     at = np.flatnonzero(zf == mf)
     lower_hi[at] = np.exp(math.log(delta) / mf[at]) + _BRACKET_SLACK
-    return lower_hi.reshape(shape), upper_lo.reshape(shape)
+    return lower_hi, upper_lo
 
 
 def _kl(q, p):
@@ -466,8 +464,6 @@ class _Tail:
     warnings.
     """
 
-    _FIELDS = ("a", "m", "r", "b", "const", "switch")
-
     def __init__(self, a, m):
         self.a, self.m, self.r = a, m, m - a
         self.b = self.r + 1.0
@@ -477,12 +473,6 @@ class _Tail:
             self.r > 0.0, _stirlerr(m) - _stirlerr(a) - _stirlerr(self.r) - 0.5 * lf, 0.0
         )
         self.switch = (a + 1.0) / (m + 3.0)
-
-    def take(self, keep):
-        t = _Tail.__new__(_Tail)
-        for name in self._FIELDS:
-            setattr(t, name, getattr(self, name)[keep])
-        return t
 
     def log_pmf(self, x):
         """log P(Bin(m, x) = a)."""
@@ -612,11 +602,14 @@ def _beta_root(a, m, delta, lo, hi):
             x_new = np.clip(x_new, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0))
             done |= ~(hi > lo * (1.0 + tol))
             out[idx] = lo
-            if np.count_nonzero(done) == done.size:
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:
                 break
-            keep = ~done
-            idx, lo, hi, x = idx[keep], lo[keep], hi[keep], x_new[keep]
-            tail = tail.take(keep)
+            if n_done:
+                keep = ~done
+                idx, lo, hi, x_new = idx[keep], lo[keep], hi[keep], x_new[keep]
+                tail = _Tail(tail.a[keep], tail.m[keep])
+            x = x_new
     return out
 
 

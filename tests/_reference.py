@@ -10,12 +10,13 @@ independently against the binomial-CDF inversion oracle below.
 
 import json
 import math
+import warnings
 
 import numpy as np
 
 from calband.bands import StepBand, raw_band
 from calband.isotonic import build_sorted_data
-from calband.special import cp_bounds_batch
+from calband.special import chi2_survival, cp_bounds_batch
 
 
 def binom_cdf_direct(z, m, xi):
@@ -259,6 +260,51 @@ def crossing_regions_loop(band):
         if low > up
     ]
     return merge_intervals(parts)
+
+
+def hosmer_lemeshow_loop(data, g=10):
+    """The Hosmer-Lemeshow test with each cut walked through its tie run.
+
+    Each cut n t / g moves right one observation at a time while it splits
+    a run of equal predictions; the bins, warnings, errors and summation
+    order are those the library must reproduce.
+    """
+    n = data.n
+    if g < 2:
+        raise ValueError(f"need at least 2 bins, got g={g}")
+    if n < g:
+        raise ValueError(f"need at least g={g} observations, got n={n}")
+    x = data.x
+    y = data.y
+    edges = [0]
+    for t in range(1, g):
+        cut = (n * t) // g
+        while 0 < cut < n and x[cut] == x[cut - 1]:
+            cut += 1
+        edges.append(cut)
+    edges.append(n)
+    edges = sorted(set(edges))
+    bins = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+    if len(bins) < 2:
+        raise ValueError("tie structure leaves fewer than 2 nonempty bins")
+    if len(bins) < g:
+        warnings.warn(
+            f"tie grouping reduced {g} requested bins to {len(bins)}",
+            stacklevel=2,
+        )
+    stat = 0.0
+    for idx, (s, e) in enumerate(bins):
+        n_g = e - s
+        obs = float(y[s:e].sum())
+        exp = float(x[s:e].sum())
+        if exp == 0.0 or exp == float(n_g):
+            raise ValueError(
+                f"bin {idx + 1} of {len(bins)} has degenerate expected count "
+                f"E={exp} for size {n_g}; the chi-square variance vanishes"
+            )
+        stat += (obs - exp) ** 2 / (exp * (1.0 - exp / n_g))
+    df = len(bins) - 2
+    return stat, chi2_survival(stat, df) if df else None
 
 
 def naive_yb_band(data, fit, alpha):

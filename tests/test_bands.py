@@ -232,7 +232,8 @@ def test_raw_band_kl_cascade_bounds_few_pairs_exactly(monkeypatch):
     # a sweep replication: sshaped s = 0.5, n = 2048, K = 1000, 372,816
     # pairs. With only the closed-form brackets, raw_band bounded 363,505
     # pair sides exactly here, and 70,763 with caps from the KL outer
-    # ends; the champions' exact caps leave about a third of those
+    # ends. The champions' exact caps, the KL inner ends and one bound
+    # per distinct (z, m) leave 10,251 bounds in 6 cp_bounds_batch calls
     calls = _record_batches(monkeypatch)
     d = simulate_dataset(RegressionFamily("sshaped", 0.5), 2048, np.random.default_rng(7))
     fam = rounded_index_family(d, K=1000)
@@ -241,7 +242,8 @@ def test_raw_band_kl_cascade_bounds_few_pairs_exactly(monkeypatch):
     want = naive_raw_band(d, fam, alpha=0.05)
     np.testing.assert_array_equal(got.lower_levels, want.lower_levels)
     np.testing.assert_array_equal(got.upper_levels, want.upper_levels)
-    assert 0 < asked <= 35_000
+    assert 0 < asked <= 11_000
+    assert len(calls) <= 6
 
 
 def test_raw_band_flush_size_does_not_change_levels(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the calibration verdict, isotonicity test, and binned chi-square."""
 
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import calband.diagnostics
 from _reference import (
     crossing_regions_loop,
     dip_data,
+    hosmer_lemeshow_loop,
     isotonicity_pvalue_by_rebuilds,
     miscalibrated_regions_loop,
     random_sorted_data,
@@ -511,3 +513,50 @@ def test_hosmer_lemeshow_pvalue_matches_chi_square_tail():
     assert res.p_value == pytest.approx(
         scipy.stats.chi2.sf(res.statistic, 8), abs=1e-12
     )
+
+
+def _hl_outcome(test, data, g):
+    """(result, warnings, error) of one Hosmer-Lemeshow call, comparable."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            stat, p = test(data, g)
+        except ValueError as exc:
+            return None, [str(w.message) for w in caught], str(exc)
+    # bits, so that a statistic that moved by an ulp shows
+    bits = np.float64(stat).tobytes(), None if p is None else np.float64(p).tobytes()
+    return bits, [str(w.message) for w in caught], None
+
+
+def test_hosmer_lemeshow_cuts_match_the_tie_walking_loop():
+    # random tie structures: rounded predictions, a large shared run, and
+    # few distinct values, with 0 and 1 among them so that bins collapse,
+    # go degenerate or leave fewer than 2
+    rng = np.random.default_rng(149)
+    seen = set()
+    for case in range(600):
+        n = int(rng.integers(2, 400))
+        kind = case % 3
+        if kind == 0:
+            x = np.round(rng.random(n), int(rng.integers(0, 3)))
+        elif kind == 1:
+            x = rng.random(n)
+            x[rng.random(n) < rng.random()] = rng.choice([0.0, 0.5, 1.0])
+        else:
+            x = rng.choice(np.array([0.0, 0.3, 0.7, 1.0])[: int(rng.integers(1, 5))], n)
+        d = _data(x, rng.random(n) < x)
+        for g in (2, 3, 5, 10, 17):
+            want = _hl_outcome(hosmer_lemeshow_loop, d, g)
+            assert _hl_outcome(hosmer_lemeshow, d, g) == want
+            bits, caught, error = want
+            # an error's first word names it: bin (degenerate), tie, need
+            seen.add(error.split()[0] if error else "p" if bits[1] else "no-p")
+            if caught:
+                seen.add("warned")
+    assert seen == {"p", "no-p", "warned", "bin", "tie", "need"}
+    # one tie run of 199,900 of 200,000 predictions holds all 9 cuts
+    x = np.concatenate((rng.random(50) * 0.5, np.full(199_900, 0.5), 0.5 + rng.random(50) * 0.5))
+    d = _data(x, rng.random(x.shape[0]) < x)
+    got = _hl_outcome(hosmer_lemeshow, d, 10)
+    assert got == _hl_outcome(hosmer_lemeshow_loop, d, 10)
+    assert got[1] == ["tie grouping reduced 10 requested bins to 2"]

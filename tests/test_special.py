@@ -509,14 +509,13 @@ def test_inner_ends_are_never_looser_than_the_chi2_ends():
             assert (lower_hi < chi2_lower_hi - 1e-6).mean() > 0.5
 
 
-def test_cp_brackets_take_scalars_and_broadcast():
-    # the inner ends are elementwise: a scalar count, and an array of
-    # counts against one size, give the ends of the full arrays
-    z = np.array([0, 1, 7, 39, 40])
+def test_inner_ends_are_elementwise():
+    # each entry's inner ends are those of its own one-entry call
+    z = np.array([0, 1, 7, 39, 40, 3])
+    m = np.array([40, 40, 40, 40, 40, 200_000])
     for delta in (0.7, 0.05, 1e-30):
-        want = np.array(_inner_ends(z, np.full(5, 40), delta))
-        np.testing.assert_array_equal(np.array(_inner_ends(z, 40, delta)), want)
-        each = np.array([_inner_ends(int(zi), 40, delta) for zi in z]).T
+        want = np.array(_inner_ends(z, m, delta))
+        each = np.hstack([_inner_ends(z[i : i + 1], m[i : i + 1], delta) for i in range(6)])
         np.testing.assert_array_equal(each, want)
 
 
