@@ -14,7 +14,10 @@ per method. After each cell a progress line gives the cell's time and an
 estimate of the time left, followed by one line per method.
 
 Every cell is independently reproducible: repetition r of a cell uses the
-Philox key seed + r, so partial reruns agree with the full sweep.
+Philox key seed + r, so partial reruns agree with the full sweep. The
+repetitions of a cell are dealt over the cores this process may run on,
+one share in this process and one in each forked worker; the records are
+the same as one process would write (run_experiment).
 """
 
 import argparse

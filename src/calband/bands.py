@@ -17,18 +17,20 @@ is lost; raw_band repeats the levels over the knots once, at the end.
 
 The bracket pass (_bracket_levels) sweeps the closed-form inner ends of
 each bound's bracket into per-row and per-column levels and picks per
-row and per column a champion side, the likeliest to set a level.
-_Survivors owns every exact bound: it bounds a pair only if the pair's
-inner end reaches its cap, and each bound it computes tightens the caps.
-It bounds the champions first; raw_band's caps start infinite, so their
-bounds set the first caps. The exact pass (_exact_levels) then sweeps
-once more, tightens the inner ends of the sides that pass the caps to
-the KL roots, and hands _Survivors the sides whose tight inner end still
-reaches a cap. Levels come from monotone suffix/prefix sweeps over rows
-and columns, so the full family costs O(|family|) inner ends and at most
-that many exact bounds instead of O(N * |family|). The result is
-bit-identical to bounding every pair; raw_band's docstring gives the
-argument.
+row and per column a champion side, the likeliest to set a level;
+raw_band runs it on every fourth row and column only
+(_strided_champions). _Survivors owns every exact bound: it bounds a
+pair only if the pair's inner end reaches its cap, and each bound it
+computes tightens the caps. It bounds the champions first; raw_band's
+caps start infinite, so their bounds set the first caps. The exact pass
+(_exact_levels) then sweeps once more, drops the pairs whose rate z/m
+alone rules out both sides, tightens the inner ends of the sides that
+pass the caps to the KL roots, and hands _Survivors the sides whose
+tight inner end still reaches a cap. Levels come from monotone
+suffix/prefix sweeps over rows and columns, so the full family costs
+O(|family|) inner ends and at most that many exact bounds instead of
+O(N * |family|). The result is bit-identical to bounding every pair;
+raw_band's docstring gives the argument.
 _crosses shares both passes to decide whether the band crosses without
 building it, comparing the levels at the row knots only: the inner
 bracket levels rule a crossing out at most alphas, the champions' bounds
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _inner_ends, _kl_inner, cp_bounds_batch
+from .special import _BRACKET_SLACK, _inner_ends, _kl_inner, cp_bounds_batch
 
 __all__ = [
     "IndexPairFamily",
@@ -62,6 +64,13 @@ __all__ = [
 _PAIR_CHUNK = 1 << 14
 _CHUNK_MIN = 200_000
 _YB_CHUNK = 1 << 22
+#: raw_band takes champions from every _CHAMPION_STRIDE-th family row and
+#: column (and the last); the caps of the rows and columns between follow
+#: from the suffix-min and prefix-max of their bounds.
+_CHAMPION_STRIDE = 4
+#: Margin of the exact pass's rate test: for delta <= 1/2 every inner end
+#: lies past the rate z/m, up to _BRACKET_SLACK (_inner_ends).
+_RATE_SLACK = 4 * _BRACKET_SLACK
 
 
 @dataclass(frozen=True)
@@ -227,13 +236,13 @@ class _Survivors:
     must pass, tightened after every solve by the suffix-min over rows
     (prefix-max over columns) of out. champions are _bracket_levels'
     (zm, inner) for this side; the constructor bounds the champions whose
-    inner end passes the cap. flush solves in two rounds: first, per
-    index, the pair whose KL inner end is most extreme; then only the
-    pairs whose inner end still passes the cap those bounds tightened.
-    Pairs are batched across chunks, so cp_bounds_batch calls stay few,
-    and a batch is flushed early at _CHUNK_MIN pairs, which bounds the
-    memory it holds. zm holds the (z, m) of the pair whose bound is in
-    out, per index.
+    inner end passes the cap, which a NaN inner end never does. flush
+    solves in two rounds: first, per index, the pair whose KL inner end
+    is most extreme; then only the pairs whose inner end still passes the
+    cap those bounds tightened. Pairs are batched across chunks, so
+    cp_bounds_batch calls stay few, and a batch is flushed early at
+    _CHUNK_MIN pairs, which bounds the memory it holds. zm holds the
+    (z, m) of the pair whose bound is in out, per index.
     """
 
     def __init__(self, delta, upper, cap, champions):
@@ -344,6 +353,35 @@ def _bracket_levels(data, family, delta):
     return U_lo, L_hi, ((row_zm, rowmin), (col_zm, colmax))
 
 
+def _strided_champions(data, family, delta):
+    """_bracket_levels' champions of every _CHAMPION_STRIDE-th row and column.
+
+    The bracket pass runs on the sub-family of rows 0, S, 2S, ..., last
+    and columns 0, S, 2S, ..., last (S the stride), about 1/S^2 of the
+    pairs; a row's pairs are a suffix of the columns and a column's a
+    prefix of the rows, so every row and column keeps a pair there. Each
+    champion is scattered back to its row or column; every other row and
+    column gets a NaN inner end, which passes no cap.
+    """
+    sizes = (family.row_j.shape[0], family.k_values.shape[0])
+    rows, cols = (np.union1d(np.arange(0, size, _CHAMPION_STRIDE), size - 1) for size in sizes)
+    sub = IndexPairFamily(
+        n_groups=family.n_groups,
+        correction=family.correction,
+        row_j=family.row_j[rows],
+        k_values=family.k_values[cols],
+        row_first_k=np.searchsorted(cols, family.row_first_k[rows]),
+    )
+    champions = []
+    for at, size, (zm, inner) in zip((rows, cols), sizes, _bracket_levels(data, sub, delta)[2]):
+        all_zm = np.zeros((2, size), dtype=np.int64)
+        all_zm[:, at] = zm
+        all_inner = np.full(size, np.nan)
+        all_inner[at] = inner
+        champions.append((all_zm, all_inner))
+    return champions
+
+
 def _levels(sides):
     """(upper per row, lower per column) levels of the sides' bounds so far.
 
@@ -366,8 +404,20 @@ def _exact_levels(data, family, delta, sides):
     (_kl_inner) of the sides that pass, and the survivors bound the sides
     that pass both, tightening their caps from the bounds they compute.
     The levels are _levels of all those bounds.
+
+    For delta <= 1/2 a rate test comes before _inner_ends: upper_lo >=
+    z/m - _BRACKET_SLACK and lower_hi <= z/m + _BRACKET_SLACK, so a pair
+    whose rate z/m lies more than _RATE_SLACK above the upper cap at its
+    row and below the lower cap at its column passes neither side.
     """
+    uppers, lowers = sides
     for rows, cols, z, m, _ in _pair_chunks(data, family):
+        if delta <= 0.5:
+            q = z / m
+            at = np.flatnonzero(
+                (q <= uppers.cap[rows] + _RATE_SLACK) | (q >= lowers.cap[cols] - _RATE_SLACK)
+            )
+            rows, cols, z, m = rows[at], cols[at], z[at], m[at]
         lower_hi, upper_lo = _inner_ends(z, m, delta)
         for side, index, inner in zip(sides, (rows, cols), (upper_lo, lower_hi)):
             at = np.flatnonzero(side.passes(inner, index))
@@ -400,7 +450,9 @@ def raw_band(data, family, alpha):
 
     The bracket pass (_bracket_levels) picks one champion side per row and
     per column from the closed-form inner ends of the pairs' brackets
-    (_inner_ends). A computed bound of any pair caps (floors) the computed
+    (_inner_ends), on every _CHAMPION_STRIDE-th row and column
+    (_strided_champions); the other rows and columns have no champion.
+    A computed bound of any pair caps (floors) the computed
     level at every knot the pair covers, so with X_u the suffix-min over
     rows of the computed upper bounds and X_l the prefix-max over columns
     of the computed lower bounds, X_u[r] caps upper at row r's knot and
@@ -412,7 +464,11 @@ def raw_band(data, family, alpha):
     _Survivors bounds the champions first, which all pass the infinite
     caps, and the exact pass (_exact_levels) then the other pairs that
     pass, with their KL-refined ends; each bound tightens X_u and X_l as
-    it comes in. The band is the same as bounding every pair: the pair
+    it comes in. Which pairs are bounded first changes only how fast the
+    caps tighten: a computed bound of any real pair is a valid cap, so
+    the argument below does not depend on the champions, their stride or
+    the rate test, which drops only pairs that fail the test anyway.
+    The band is the same as bounding every pair: the pair
     attaining upper(x_i) has row r with row_j[r] >= i and a bound <=
     upper(x_{row_j[r]}) <= X_u[r], so its bracket passes the test
     (likewise for the lower side), because cp_bounds_batch keeps every
@@ -425,7 +481,7 @@ def raw_band(data, family, alpha):
     run of knots once.
     """
     delta = _delta(data, family, alpha)
-    row_champs, col_champs = _bracket_levels(data, family, delta)[2]
+    row_champs, col_champs = _strided_champions(data, family, delta)
     sides = (
         _Survivors(delta, True, np.full_like(row_champs[1], np.inf), row_champs),
         _Survivors(delta, False, np.full_like(col_champs[1], -np.inf), col_champs),

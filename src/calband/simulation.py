@@ -6,7 +6,8 @@ rejections, and band widths on a fixed grid. One loop serves several
 band methods: each replication's dataset and raw band are built once and
 shared by the raw, nc and yb bands. Replications are keyed by a
 counter-based generator so any cell of a sweep can be reproduced in
-isolation from (base_seed, rep) alone.
+isolation from (base_seed, rep) alone, and so they are dealt over the
+process's cores (forked workers) with the records a serial run makes.
 """
 
 import json
@@ -204,6 +205,141 @@ class ExperimentResult:
         return self.widths.mean(axis=0)
 
 
+def _replicate(family, n, alpha, methods, index_family, K, rng):
+    """One replication's records: (iso_rejected, covered, knot_coverage, widths).
+
+    covered and knot_coverage hold one entry per method, widths one row.
+    """
+    checks = _checkpoints(family)
+    p_checks = eval_p(family, checks)
+    data = simulate_dataset(family, n, rng)
+    if index_family == "full":
+        fam = full_index_family(data)
+    else:
+        fam = rounded_index_family(data, K)
+    rawb = raw_band(data, fam, alpha)
+    fit = pava(data) if "nc" in methods or "yb" in methods else None
+    # every band's knots are the data's distinct x values
+    p_knots = eval_p(family, rawb.knots)
+    covered = np.zeros(len(methods), dtype=bool)
+    knot_cov = np.zeros(len(methods), dtype=np.float64)
+    widths = np.zeros((len(methods),) + _WIDTH_GRID.shape, dtype=np.float64)
+    for j, method in enumerate(methods):
+        if method == "raw":
+            band = rawb
+        elif method == "nc":
+            band = noncrossing_band(rawb, fit)
+        else:
+            band = yb_band(data, fit, alpha)
+        knot_ok = (band.lower_levels <= p_knots) & (p_knots <= band.upper_levels)
+        ok = bool(knot_ok.all())
+        if ok:
+            lo, up = evaluate_band(band, checks, extrapolate=True)
+            ok = bool(((lo <= p_checks) & (p_checks <= up)).all())
+        covered[j] = ok
+        knot_cov[j] = float(knot_ok.mean())
+        glo, gup = evaluate_band(band, _WIDTH_GRID, extrapolate=True)
+        widths[j] = gup - glo
+    # raw_band records a crossing witness exactly when the band crosses
+    return rawb.witness is not None, covered, knot_cov, widths
+
+
+def _run_share(replicate, share):
+    """[(rep, replicate(rep)) for rep in share]; an error is noted with its rep."""
+    out = []
+    for rep in share:
+        try:
+            out.append((rep, replicate(rep)))
+        except Exception as exc:
+            if hasattr(exc, "add_note"):  # Python 3.11+
+                exc.add_note(f"in replication {rep}")
+            raise
+    return out
+
+
+def _deal(replicate, reps):
+    """[replicate(rep) for rep in range(reps)], dealt over the usable cores.
+
+    With W = min(reps, cores this process may run on), share w holds reps
+    w, w + W, w + 2W, ... Share 0 runs here, and every other share in a
+    child forked before it starts, which has numpy and calband loaded
+    already. A child sends its records back as one pickle over a pipe and
+    leaves by os._exit, which flushes none of the stdio buffers it
+    inherited. Each record lands at its own rep, so the list does not
+    depend on W or on which worker finishes first. A child's exception is
+    raised again here; a child that exits without sending anything raises
+    RuntimeError. Every child is reaped before this returns or raises, and
+    killed first if this process's own share or another child failed.
+    Without os.fork or os.sched_getaffinity, W is 1.
+    """
+    # imported on first use, so that importing calband imports nothing more
+    import os
+    import pickle
+    import signal
+
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(reps, len(os.sched_getaffinity(0)))
+    records = [None] * reps
+    children = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if not pid:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        payload = pickle.dumps(_run_share(replicate, range(w, reps, workers)))
+                    except Exception as exc:
+                        payload = _pickled_error(exc)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        for rep, record in _run_share(replicate, range(0, reps, workers)):
+            records[rep] = record
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if not payload:
+                raise RuntimeError(
+                    f"worker process {pid} exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} and sent no records"
+                )
+            share = pickle.loads(payload)
+            if isinstance(share, BaseException):
+                raise share
+            for rep, record in share:
+                records[rep] = record
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    return records
+
+
+def _pickled_error(exc):
+    """exc pickled, or a RuntimeError with its text if it does not round-trip."""
+    import pickle
+
+    try:
+        payload = pickle.dumps(exc)
+        pickle.loads(payload)
+    except Exception:
+        text = "\n".join([repr(exc), *getattr(exc, "__notes__", ())])
+        payload = pickle.dumps(RuntimeError(text))
+    return payload
+
+
 def run_experiment(
     family,
     n,
@@ -226,6 +362,11 @@ def run_experiment(
     iso_rejected reports whether the raw band crossed itself, so it is the
     same for every method. widths are upper minus lower on the percent
     grid.
+
+    Replications are independent, each keyed by Philox(base_seed + rep),
+    so they are dealt round-robin over the cores this process may run on:
+    one share here and one in each forked child (_deal). The records are
+    the same, bit for bit, as a serial run's, on any number of cores.
     """
     methods = tuple(methods)
     if not methods:
@@ -244,47 +385,15 @@ def run_experiment(
     if base_seed < 0:
         raise ValueError(f"need base_seed >= 0, got {base_seed}")
 
-    grid = _WIDTH_GRID.copy()
-    checks = _checkpoints(family)
-    p_checks = eval_p(family, checks)
-    shape = (len(methods), reps)
-    covered = np.zeros(shape, dtype=bool)
-    knot_cov = np.zeros(shape, dtype=np.float64)
-    rejected = np.zeros(reps, dtype=bool)
-    widths = np.zeros(shape + grid.shape, dtype=np.float64)
-    needs_fit = "nc" in methods or "yb" in methods
-
-    for rep in range(reps):
+    def replicate(rep):
         rng = _rep_rng(base_seed, rep)
-        data = simulate_dataset(family, n, rng)
-        if index_family == "full":
-            fam = full_index_family(data)
-        else:
-            fam = rounded_index_family(data, K)
-        rawb = raw_band(data, fam, alpha)
-        fit = pava(data) if needs_fit else None
-        # every band's knots are the data's distinct x values
-        p_knots = eval_p(family, rawb.knots)
-        # raw_band records a crossing witness exactly when the band crosses
-        rejected[rep] = rawb.witness is not None
+        return _replicate(family, n, alpha, methods, index_family, K, rng)
 
-        for j, method in enumerate(methods):
-            if method == "raw":
-                band = rawb
-            elif method == "nc":
-                band = noncrossing_band(rawb, fit)
-            else:
-                band = yb_band(data, fit, alpha)
-            knot_ok = (band.lower_levels <= p_knots) & (p_knots <= band.upper_levels)
-            ok = bool(knot_ok.all())
-            if ok:
-                lo, up = evaluate_band(band, checks, extrapolate=True)
-                ok = bool(((lo <= p_checks) & (p_checks <= up)).all())
-            covered[j, rep] = ok
-            knot_cov[j, rep] = float(knot_ok.mean())
-            glo, gup = evaluate_band(band, grid, extrapolate=True)
-            widths[j, rep] = gup - glo
-
+    records = _deal(replicate, reps)
+    rejected = np.array([r[0] for r in records])
+    covered, knot_cov, widths = (
+        np.stack([r[i] for r in records], axis=1) for i in (1, 2, 3)
+    )
     return {
         method: ExperimentResult(
             family=family,
@@ -296,7 +405,7 @@ def run_experiment(
             reps=reps,
             base_seed=base_seed,
             rng_name=RNG_NAME,
-            width_grid=grid.copy(),
+            width_grid=_WIDTH_GRID.copy(),
             covered=covered[j],
             knot_coverage=knot_cov[j],
             iso_rejected=rejected.copy(),

@@ -24,7 +24,7 @@ tightens them to the root of Ash's bound with KL itself. Band
 construction reads only the inner ends, closed-form in both of its
 passes and KL in the exact one, and tests them against caps made of
 exact bounds, which on a sweep replication (n = 8192, K = 1000) leaves
-the exact solve about 1.5-1.7% of the pair sides. The solver's outer end
+the exact solve about 1.2-1.7% of the pair sides. The solver's outer end
 is Hoeffding's, which _kl_outer tightens to the Chernoff root. The KL
 steps are a few vectorized Newton and false-position steps, every end
 checked by one KL evaluation. _beta_root starts from the outer end, on

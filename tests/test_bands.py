@@ -233,7 +233,8 @@ def test_raw_band_kl_cascade_bounds_few_pairs_exactly(monkeypatch):
     # pairs. With only the closed-form brackets, raw_band bounded 363,505
     # pair sides exactly here, and 70,763 with caps from the KL outer
     # ends. The champions' exact caps, the KL inner ends and one bound
-    # per distinct (z, m) leave 10,251 bounds in 6 cp_bounds_batch calls
+    # per distinct (z, m) left 10,251 bounds in 6 cp_bounds_batch calls;
+    # champions from every 4th row and column leave 9,147
     calls = _record_batches(monkeypatch)
     d = simulate_dataset(RegressionFamily("sshaped", 0.5), 2048, np.random.default_rng(7))
     fam = rounded_index_family(d, K=1000)
@@ -242,8 +243,59 @@ def test_raw_band_kl_cascade_bounds_few_pairs_exactly(monkeypatch):
     want = naive_raw_band(d, fam, alpha=0.05)
     np.testing.assert_array_equal(got.lower_levels, want.lower_levels)
     np.testing.assert_array_equal(got.upper_levels, want.upper_levels)
-    assert 0 < asked <= 11_000
+    assert 0 < asked <= 9_500
     assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("stride", [1, 2, 7])
+def test_raw_band_champion_stride_does_not_change_levels(monkeypatch, stride):
+    # any computed bound of a real pair is a valid cap, so the rows and
+    # columns the champions come from change only the work, not the band
+    rng = np.random.default_rng(211)
+    d = _data(rng.random(700), rng.random(700) < 0.4)
+    monkeypatch.setattr(bands_module, "_CHAMPION_STRIDE", stride)
+    for fam in (full_index_family(d), rounded_index_family(d, K=60)):
+        got = raw_band(d, fam, alpha=0.05)
+        want = naive_raw_band(d, fam, alpha=0.05)
+        np.testing.assert_array_equal(got.lower_levels, want.lower_levels)
+        np.testing.assert_array_equal(got.upper_levels, want.upper_levels)
+
+
+def test_rate_test_drops_only_pairs_whose_inner_ends_fail(monkeypatch):
+    # with the rate test off (an infinite margin) the exact pass hands the
+    # KL step the very same sides: every pair the test drops would have
+    # failed its closed-form inner-end test at both sides
+    seen = []
+    real = bands_module._kl_inner
+
+    def spy(z, m, delta, inner, upper):
+        seen.append((upper, z.tolist(), m.tolist()))
+        return real(z, m, delta, inner, upper)
+
+    monkeypatch.setattr(bands_module, "_kl_inner", spy)
+    d = simulate_dataset(RegressionFamily("sshaped", 0.5), 2048, np.random.default_rng(8))
+    runs = []
+    for margin in (bands_module._RATE_SLACK, np.inf):
+        monkeypatch.setattr(bands_module, "_RATE_SLACK", margin)
+        for fam in (rounded_index_family(d, K=1000), full_index_family(d)):
+            del seen[:]
+            raw_band(d, fam, alpha=0.05)
+            runs.append(list(seen))
+    assert runs[0] == runs[2] and runs[1] == runs[3]
+    assert sum(len(z) for _, z, _ in runs[0]) > 1000
+
+
+def test_strided_champions_leave_the_other_rows_unbounded():
+    rng = np.random.default_rng(212)
+    d = _data(rng.random(300), rng.random(300) < 0.5)
+    fam = rounded_index_family(d, K=40)
+    champions = bands_module._strided_champions(d, fam, 0.05 / fam.correction)
+    for (zm, inner), size in zip(champions, (fam.row_j.shape[0], fam.k_values.shape[0])):
+        picked = np.zeros(size, dtype=bool)
+        picked[:: bands_module._CHAMPION_STRIDE] = picked[-1] = True
+        assert np.isfinite(inner[picked]).all()
+        assert np.isnan(inner[~picked]).all()
+        assert (zm[1, picked] >= 1).all() and (zm[:, ~picked] == 0).all()
 
 
 def test_raw_band_flush_size_does_not_change_levels(monkeypatch):

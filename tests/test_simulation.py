@@ -1,9 +1,15 @@
 """Tests for the synthetic regression families and the replication loop."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import calband.simulation as simulation_module
 
 from calband.bands import (
     evaluate_band,
@@ -224,6 +230,131 @@ def test_run_experiment_methods_match_single_method_runs(index_family):
         assert _config(res) == _config(alone)
         np.testing.assert_array_equal(res.iso_rejected, together["yb"].iso_rejected)
     assert together["raw"].iso_rejected.any()  # the shared flag is exercised
+
+
+_RECORD_FIELDS = (
+    "family", "n", "alpha", "method", "index_family", "K", "rng_name",
+    "width_grid", "covered", "knot_coverage", "iso_rejected", "widths",
+)
+
+
+@pytest.mark.parametrize("cores", [None, 3, 1])
+@pytest.mark.parametrize("index_family", ["rounded", "full"])
+def test_dealt_replications_equal_the_serial_ones(monkeypatch, index_family, cores):
+    # the oracle: each replication run alone, in this process (reps=1)
+    if cores is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    fam = RegressionFamily("wave", 0.9)
+    kwargs = dict(n=120, alpha=0.3, methods=("raw", "nc", "yb"), K=40, index_family=index_family)
+    alone = [run_experiment(fam, reps=1, base_seed=20 + r, **kwargs) for r in range(5)]
+    for reps in (2, 3, 5):
+        dealt = run_experiment(fam, reps=reps, base_seed=20, **kwargs)
+        for method, res in dealt.items():
+            assert (res.reps, res.base_seed) == (reps, 20)
+            for name in _RECORD_FIELDS:
+                got = getattr(res, name)
+                if name in ("covered", "knot_coverage", "iso_rejected", "widths"):
+                    want = np.stack([getattr(a[method], name)[0] for a in alone[:reps]])
+                    assert got.dtype == want.dtype, name
+                else:
+                    want = getattr(alone[0][method], name)
+                assert np.array_equal(got, want), (reps, method, name)
+    _no_children_left()
+
+
+def test_run_experiment_without_fork_runs_every_rep_here(monkeypatch):
+    fam = RegressionFamily("step", 0.5)
+    dealt = run_experiment(fam, n=60, reps=3, base_seed=4)["nc"]
+    monkeypatch.delattr(os, "fork")
+    pids = []
+    real = simulation_module.simulate_dataset
+
+    def spy(*args):
+        pids.append(os.getpid())
+        return real(*args)
+
+    monkeypatch.setattr(simulation_module, "simulate_dataset", spy)
+    serial = run_experiment(fam, n=60, reps=3, base_seed=4)["nc"]
+    assert pids == [os.getpid()] * 3
+    for name in ("covered", "knot_coverage", "iso_rejected", "widths"):
+        assert np.array_equal(getattr(serial, name), getattr(dealt, name)), name
+
+
+def _fail_in_rep(monkeypatch, bad, how):
+    """Make replication bad fail: raise how(), or os._exit(how) in a child."""
+    real = simulation_module._rep_rng
+    parent = os.getpid()
+
+    def rep_rng(base_seed, rep):
+        if rep == bad:
+            if isinstance(how, int) and os.getpid() != parent:
+                os._exit(how)
+            raise how()
+        return real(base_seed, rep)
+
+    monkeypatch.setattr(simulation_module, "_rep_rng", rep_rng)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("cannot be rebuilt")
+        self.reason = lambda: None  # a lambda does not pickle
+
+
+def _boom():
+    return ArithmeticError("boom")
+
+
+@pytest.mark.parametrize("bad", [0, 1, 4])
+def test_an_error_in_any_share_reaches_the_caller_and_no_child_is_left(monkeypatch, bad):
+    # rep 0 is always in this process's share; reps 1 and 4 are in a
+    # child's on more than one core (three cores here)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    _fail_in_rep(monkeypatch, bad, _boom)
+    with pytest.raises(ArithmeticError, match="boom") as err:
+        run_experiment(RegressionFamily("kink", 0.5), n=50, reps=6, base_seed=1)
+    if hasattr(err.value, "add_note"):  # Python 3.11+
+        assert f"in replication {bad}" in err.value.__notes__
+    _no_children_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("bad, how, message", [
+    (1, 7, "exited with status 7 and sent no records"),
+    (3, _Unpicklable, "_Unpicklable..cannot be rebuilt"),
+])
+def test_a_child_that_sends_nothing_or_an_unpicklable_error_raises(monkeypatch, bad, how, message):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _fail_in_rep(monkeypatch, bad, how)
+    with pytest.raises(RuntimeError, match=message):
+        run_experiment(RegressionFamily("kink", 0.5), n=50, reps=4, base_seed=1)
+    _no_children_left()
+
+
+def test_forked_workers_do_not_flush_the_callers_buffers():
+    # stdout is a pipe, so block-buffered: "before" is still in the buffer
+    # when the workers are forked, and only this process may print it
+    code = (
+        "import os, sys\n"
+        "from calband.simulation import RegressionFamily, run_experiment\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "print('before')\n"
+        "run_experiment(RegressionFamily('kink', 0.5), n=40, reps=3)\n"
+        "print('after')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+        timeout=120,
+    )
+    assert out.stdout == "before\nafter\n"
 
 
 def _config(result):

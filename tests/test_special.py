@@ -9,6 +9,7 @@ from scipy import integrate
 from scipy import special as sps
 from scipy import stats
 
+import calband.bands as bands_module
 import calband.special as special_module
 from _reference import (
     binom_cdf_direct,
@@ -517,6 +518,26 @@ def test_inner_ends_are_elementwise():
         want = np.array(_inner_ends(z, m, delta))
         each = np.hstack([_inner_ends(z[i : i + 1], m[i : i + 1], delta) for i in range(6)])
         np.testing.assert_array_equal(each, want)
+
+
+def test_inner_ends_lie_past_the_rate():
+    # the exact pass's rate test relies on this for delta <= 1/2: the upper
+    # side's inner end is never below z/m by more than the slack, the
+    # lower side's never above it, up to an ulp of rounding where c = 0
+    # and the roots fall on q; the test's margin is several slacks
+    rng = np.random.default_rng(83)
+    m = np.concatenate(
+        (rng.integers(1, 200_001, 4000), rng.integers(1, 60, 2000), [1, 2, 200_000])
+    )
+    z = np.minimum((rng.random(m.shape[0]) * (m + 1)).astype(np.int64), m)
+    z[:300], z[300:600] = 0, m[300:600]
+    q = z / m
+    slack = special_module._BRACKET_SLACK + 1e-15
+    assert bands_module._RATE_SLACK >= 2 * slack
+    for delta in (0.5, 0.05, 1e-6, 1e-300):
+        lower_hi, upper_lo = _inner_ends(z, m, delta)
+        assert (upper_lo >= q - slack).all()
+        assert (lower_hi <= q + slack).all()
 
 
 def test_cp_bounds_batch_is_the_same_under_either_inner_guard(monkeypatch):

@@ -1,7 +1,10 @@
 """Tests for scripts/run_full_experiments.py, the full simulation sweep."""
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from calband.simulation import (
@@ -52,3 +55,26 @@ def test_sweep_writes_what_single_method_runs_write(tmp_path, capsys):
     rows = (out / "iso_table.csv").read_text(encoding="utf-8").splitlines()
     assert rows[0] == "s,n,rejection_rate"
     assert [r.split(",")[:2] for r in rows[1:]] == [["0.3", "64"], ["0.9", "64"]]
+
+
+def test_sweep_in_a_subprocess_prints_each_line_once(tmp_path):
+    # stdout is a pipe, so block-buffered; the replications of each cell
+    # are dealt over forked workers, which must not print their copy of
+    # the parent's buffer again
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SCRIPT.parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    ))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--out-dir", str(tmp_path), "--reps", "3",
+         "--sizes", "48,64", "--families", "wave", "--shapes", "0.9",
+         "--methods", "raw,nc", "--K", "30"],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    lines = proc.stdout.splitlines()
+    assert [ln.split(" (")[0] for ln in lines if ln.startswith("[")] == [
+        "[1/2] wave_s0.9_n48", "[2/2] wave_s0.9_n64",
+    ]
+    assert len(lines) == 2 * 3 + 2 and len(set(lines)) == len(lines)
+    assert lines[-2] == f"wrote {tmp_path / 'iso_table.csv'}"
+    assert lines[-1].startswith("done in ")
