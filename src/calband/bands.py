@@ -364,7 +364,11 @@ def _strided_champions(data, family, delta):
     column gets a NaN inner end, which passes no cap.
     """
     sizes = (family.row_j.shape[0], family.k_values.shape[0])
-    rows, cols = (np.union1d(np.arange(0, size, _CHAMPION_STRIDE), size - 1) for size in sizes)
+    # 0, S, 2S, ... and the last; only the final multiple can pass size - 1
+    rows, cols = (
+        np.minimum(np.arange(0, size + _CHAMPION_STRIDE - 1, _CHAMPION_STRIDE), size - 1)
+        for size in sizes
+    )
     sub = IndexPairFamily(
         n_groups=family.n_groups,
         correction=family.correction,
