@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import calband.simulation as simulation_module
-
 from calband.bands import (
     evaluate_band,
     full_index_family,
@@ -243,7 +242,7 @@ _RECORD_FIELDS = (
 def test_dealt_replications_equal_the_serial_ones(monkeypatch, index_family, cores):
     # the oracle: each replication run alone, in this process (reps=1)
     if cores is not None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     fam = RegressionFamily("wave", 0.9)
     kwargs = dict(n=120, alpha=0.3, methods=("raw", "nc", "yb"), K=40, index_family=index_family)
     alone = [run_experiment(fam, reps=1, base_seed=20 + r, **kwargs) for r in range(5)]
@@ -314,7 +313,7 @@ def _boom():
 def test_an_error_in_any_share_reaches_the_caller_and_no_child_is_left(monkeypatch, bad):
     # rep 0 is always in this process's share; reps 1 and 4 are in a
     # child's on more than one core (three cores here)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     _fail_in_rep(monkeypatch, bad, _boom)
     with pytest.raises(ArithmeticError, match="boom") as err:
         run_experiment(RegressionFamily("kink", 0.5), n=50, reps=6, base_seed=1)
@@ -329,7 +328,7 @@ def test_an_error_in_any_share_reaches_the_caller_and_no_child_is_left(monkeypat
     (3, _Unpicklable, "_Unpicklable..cannot be rebuilt"),
 ])
 def test_a_child_that_sends_nothing_or_an_unpicklable_error_raises(monkeypatch, bad, how, message):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     _fail_in_rep(monkeypatch, bad, how)
     with pytest.raises(RuntimeError, match=message):
         run_experiment(RegressionFamily("kink", 0.5), n=50, reps=4, base_seed=1)
@@ -348,7 +347,8 @@ def test_forked_workers_do_not_flush_the_callers_buffers():
         "print('after')\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
     env.pop("PYTHONUNBUFFERED", None)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
