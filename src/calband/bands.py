@@ -264,7 +264,10 @@ class _Survivors:
         return inner >= self.cap[index]
 
     def add(self, z, m, index, inner):
-        keep = self.passes(inner, index)
+        # a side with the (z, m) held at its index would bound out[index]
+        # to what it holds; real pairs have m >= 1, so (0, 0) matches none
+        held = (z == self.zm[0, index]) & (m == self.zm[1, index])
+        keep = self.passes(inner, index) & ~held
         self.pieces.append((z[keep], m[keep], index[keep], inner[keep]))
         self.size += self.pieces[-1][0].shape[0]
         if self.size >= _CHUNK_MIN:

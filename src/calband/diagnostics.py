@@ -1,10 +1,11 @@
 """Calibration and isotonicity diagnostics derived from a band.
 
-The verdict machinery does exact interval arithmetic on the band's step
-pieces, so reported regions are not grid approximations. The pieces are
-built for a fixed number of knots at a time: each chunk's parts are
-merged into regions that keep their end inclusion, and those regions are
-joined across chunks, so no temporary grows with the number of knots.
+The verdict and the crossing regions are exact interval arithmetic on
+the band's level arrays, so reported regions are not grid approximations.
+Each knot's parts come from its levels and its neighbours, a fixed number
+of knots at a time: each chunk's parts are merged into regions that keep
+their end inclusion, and those are joined across chunks, so no temporary
+grows with the number of knots.
 The isotonicity test inverts band construction over alpha; its p-value is
 the smallest level at which the lower bound overtakes the upper somewhere,
 found by bisection on the crossing decision of bands._crosses, which
@@ -36,7 +37,7 @@ __all__ = [
     "hosmer_lemeshow",
 ]
 
-# knots per chunk of the verdict's and the crossing regions' pieces
+# knots per chunk of the verdict's and the crossing regions' parts
 _KNOT_CHUNK = 1 << 14
 _PVALUE_TOL = 1e-4
 _PVALUE_ALPHA_HI = 1.0 - 1e-6
@@ -87,40 +88,13 @@ def _knot_max(band, margin):
     )
 
 
-def _pieces(band, lo, hi):
-    """Decompose [lo, hi] into alternating point/open pieces with levels.
-
-    Yields arrays (a, b, a_incl, b_incl, lower, upper) for each chunk of
-    knots, one entry per piece in left-to-right order; point pieces have
-    a == b. A chunk holds each of its knots and the open piece before it,
-    the last chunk also the piece after the last knot. Assumes
-    lo <= knots[0] and knots[-1] <= hi.
-    """
-    knots = band.knots
-    n = knots.shape[0]
-    for s in _knot_chunks(n):
-        i0, i1 = s.start, s.stop
-        last = i1 == n
-        # gap i0, knot i0, gap i0+1, ..., knot i1-1, gap i1: gap 0 is
-        # [lo, knots[0]) at lower level 0, gap n is (knots[-1], hi] at upper
-        # level 1, and the gap after knot i carries (lower[i], upper[i+1]);
-        # gap i1 belongs to the next chunk unless this is the last
-        left = knots[i0 - 1] if i0 else lo
-        low_left = band.lower_levels[i0 - 1] if i0 else 0.0
-        a = np.repeat(np.concatenate(([left], knots[s])), 2)[1:]
-        b = np.repeat(np.concatenate((knots[s], [hi])), 2)[:-1]
-        lower = np.repeat(np.concatenate(([low_left], band.lower_levels[s])), 2)[1:]
-        upper = np.repeat(np.concatenate((band.upper_levels[s], [1.0])), 2)[:-1]
-        count = 2 * (i1 - i0) + 1
-        a_incl = np.zeros(count, dtype=bool)
-        a_incl[1::2] = True
-        b_incl = a_incl.copy()
-        a_incl[0] = i0 == 0
-        b_incl[-1] = True
-        keep = np.ones(count, dtype=bool)
-        keep[0] = i0 > 0 or lo < knots[0]
-        keep[-1] = last and knots[-1] < hi
-        yield a[keep], b[keep], a_incl[keep], b_incl[keep], lower[keep], upper[keep]
+def _neighbour(values, s, step, edge):
+    """values[i + step] for each knot i of the chunk s, edge past either end."""
+    i0, i1 = s.start + step, s.stop + step
+    n = values.shape[0]
+    return np.concatenate(
+        ([edge] if i0 < 0 else [], values[max(i0, 0) : min(i1, n)], [edge] if i1 > n else [])
+    )
 
 
 def _merge(lo, hi, lo_incl, hi_incl):
@@ -175,20 +149,26 @@ def _regions(chunk_parts):
 
 
 def _verdict_parts(band):
-    """Per chunk of knots, where the diagonal leaves the band on [0, 1]."""
-    for a, b, ai, bi, low, up in _pieces(band, 0.0, 1.0):
-        point = a == b
-        # each piece gives up to two parts, in this order: the diagonal at a
-        # point outside [low, up], or below the lower level on
-        # [a, min(b, low)); then the diagonal above the upper level on
-        # (max(a, up), b]
-        first = np.where(point, (a < low) | (a > up), low > a)
-        keep = np.stack((first, ~point & (up < b)), axis=1)
+    """Per chunk of knots, where the diagonal leaves the band on [0, 1].
+
+    With x_{-1} = 0 and x_N = 1, the diagonal lies below the lower level
+    L_i on [x_i, min(x_{i+1}, L_i)) when L_i > x_i, and above the upper
+    level U_i on (max(x_{i-1}, U_i), x_i] when U_i < x_i, the levels of the
+    open pieces after and before knot i. A part also holds its far end
+    when the level passes it: an edge of [0, 1] is outside the band then,
+    and a neighbour knot is in its own part, as the levels never decrease.
+    """
+    knots = band.knots
+    for s in _knot_chunks(knots.shape[0]):
+        x, low, up = knots[s], band.lower_levels[s], band.upper_levels[s]
+        prev, nxt = _neighbour(knots, s, -1, 0.0), _neighbour(knots, s, 1, 1.0)
+        closed = np.ones(x.shape[0], dtype=bool)
+        keep = np.stack((low > x, up < x), axis=1)
         yield (
-            np.stack((a, np.maximum(a, up)), axis=1)[keep],
-            np.stack((np.where(point, a, np.minimum(b, low)), b), axis=1)[keep],
-            np.stack((ai, ai & (a > up)), axis=1)[keep],
-            np.stack((point | (bi & (b < low)), bi), axis=1)[keep],
+            np.stack((x, np.maximum(prev, up)), axis=1)[keep],
+            np.stack((np.minimum(nxt, low), x), axis=1)[keep],
+            np.stack((closed, up < prev), axis=1)[keep],
+            np.stack((low > nxt, closed), axis=1)[keep],
         )
 
 
@@ -236,14 +216,24 @@ def _crossing_gap(band):
 
 
 def _crossing_parts(band):
-    """Per chunk of knots, the pieces where the lower level exceeds the upper."""
-    for a, b, ai, bi, low, up in _pieces(band, band.knots[0], band.knots[-1]):
-        cross = low > up
-        yield a[cross], b[cross], ai[cross], bi[cross]
+    """Per chunk of knots, where the lower level exceeds the upper.
+
+    The band crosses on [x_i, x_i] when L_i > U_i, and on [x_i, x_{i+1}]
+    when also L_i > U_{i+1}, the upper level on the open piece after knot
+    i. The levels never decrease, so an open piece crosses only if the
+    knots on both sides of it do.
+    """
+    knots, low, up = band.knots, band.lower_levels, band.upper_levels
+    for s in _knot_chunks(knots.shape[0]):
+        cross = low[s] > up[s]
+        after = low[s] > _neighbour(up, s, 1, np.inf)
+        hi = np.where(after, _neighbour(knots, s, 1, np.inf), knots[s])[cross]
+        closed = np.ones(hi.shape[0], dtype=bool)
+        yield knots[s][cross], hi, closed, closed
 
 
 def _crossing_regions(band):
-    # a band that never crosses skips building the pieces
+    # a band that never crosses builds no parts
     if _crossing_gap(band) <= 0.0:
         return []
     return _regions(_crossing_parts(band))
@@ -341,7 +331,9 @@ def hosmer_lemeshow(data, g=10):
     # run straddling it stays whole in the lower bin
     bounds = data.group_bounds
     cuts = n * np.arange(g + 1) // g
-    edges = np.unique(bounds[np.searchsorted(bounds, cuts)]).tolist()
+    edges = bounds[np.searchsorted(bounds, cuts)]
+    # sorted, so drop adjacent repeats; np.unique would import numpy.ma
+    edges = edges[np.r_[True, edges[1:] != edges[:-1]]].tolist()
     bins = list(zip(edges[:-1], edges[1:]))
     if len(bins) < 2:
         raise ValueError("tie structure leaves fewer than 2 nonempty bins")

@@ -966,3 +966,23 @@ def test_band_and_simulate_run_without_scipy():
             assert out.returncode == 0, out.stderr.decode()
         assert outs[0].stdout == outs[1].stdout, argv
         assert outs[0].stdout.startswith(b"{")
+
+
+def test_band_leaves_numpy_ma_unimported():
+    # numpy 2's np.unique imports numpy.ma; Hosmer-Lemeshow drops its
+    # repeated bin edges without it, and no other step of a band run needs it
+    code = (
+        "import sys\n"
+        "from calband.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(calband.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code, "band", str(DATA / "demo.csv")],
+        capture_output=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr.decode()
+    assert b'"hosmer_lemeshow"' in out.stdout

@@ -1,5 +1,6 @@
 """Tests for the calibration verdict, isotonicity test, and binned chi-square."""
 
+import itertools
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -153,8 +154,10 @@ def test_regions_match_the_piece_loops_on_coarse_grids(monkeypatch):
     # levels and knots on a coarse grid tie with each other and with the
     # diagonal, which exercises every touching and inclusion rule. With a
     # chunk of a few knots most regions also run over a chunk edge, where
-    # the regions of the chunks are joined
-    for chunk in (calband.diagnostics._KNOT_CHUNK, 2, 3):
+    # the regions of the chunks are joined. With a spill of one the levels
+    # also reach a grid step outside [0, 1], which pins the rules at the
+    # edges 0 and 1
+    for spill, chunk in itertools.product((0, 1), (calband.diagnostics._KNOT_CHUNK, 2, 3)):
         monkeypatch.setattr(calband.diagnostics, "_KNOT_CHUNK", chunk)
         rng = np.random.default_rng(139)
         regions = crossings = 0
@@ -163,8 +166,8 @@ def test_regions_match_the_piece_loops_on_coarse_grids(monkeypatch):
             size = int(rng.integers(1, 12))
             knots = np.unique(rng.integers(0, grid + 1, size=size) / grid)
             n = knots.shape[0]
-            lower = np.sort(rng.integers(0, grid + 1, size=n) / grid)
-            upper = np.sort(rng.integers(0, grid + 1, size=n) / grid)
+            lower = np.sort(rng.integers(-spill, grid + 1 + spill, size=n) / grid)
+            upper = np.sort(rng.integers(-spill, grid + 1 + spill, size=n) / grid)
             if rng.random() < 0.4:
                 upper = np.maximum(upper, lower)
             elif rng.random() < 0.3:
@@ -201,29 +204,40 @@ def test_regions_join_at_a_chunk_edge_only_through_an_included_point(monkeypatch
     assert calibration_verdict(apart).miscalibrated_regions == want
 
 
-def _large_band(n):
+def _large_band(n, margin=0.04, ripple=0.0):
     # a nondecreasing band of n knots with levels on a 1e-3 grid that the
-    # diagonal leaves in many places
+    # diagonal leaves in many places; a ripple larger than the margin
+    # lifts the lower level above the upper on many of its crests
     x = np.sort(np.random.default_rng(157).random(n))
     wave = 0.06 * np.sin(40.0 * x)
-    lower = np.maximum.accumulate(np.floor((x - 0.04 + wave) * 1e3) / 1e3)
-    upper = np.maximum.accumulate(np.ceil((x + 0.04 + wave) * 1e3) / 1e3)
+    crest = ripple * np.sin(400.0 * x)
+    lower = np.maximum.accumulate(np.floor((x - margin + wave + crest) * 1e3) / 1e3)
+    upper = np.maximum.accumulate(np.ceil((x + margin + wave - crest) * 1e3) / 1e3)
     return _band(x, lower, upper)
 
 
-def test_verdict_memory_stays_within_a_chunk_budget():
-    # the pieces are built a chunk of knots at a time, so the verdict's
-    # temporaries do not grow with the number of knots
-    band = _large_band(200_000)
-    calibration_verdict(band)
+@pytest.mark.parametrize(
+    "regions, shape",
+    [
+        (lambda band: calibration_verdict(band).miscalibrated_regions, {}),
+        (calband.diagnostics._crossing_regions, {"margin": 0.001, "ripple": 0.004}),
+    ],
+    ids=["calibration_verdict", "_crossing_regions"],
+)
+def test_regions_memory_stays_within_a_chunk_budget(regions, shape):
+    # the parts are built a chunk of knots at a time, so the temporaries
+    # of the verdict and of the crossing regions do not grow with the
+    # number of knots
+    band = _large_band(200_000, **shape)
+    regions(band)
     tracemalloc.start()
     try:
-        verdict = calibration_verdict(band)
+        found = regions(band)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(verdict.miscalibrated_regions) > 5
-    assert peak < 8e6, f"verdict peak {peak / 1e6:.1f} MB"
+    assert len(found) > 5
+    assert peak < 8e6, f"regions peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +435,10 @@ def test_report_clean_data_has_empty_regions():
 
 
 def test_non_crossing_band_skips_the_segment_list(monkeypatch):
-    def no_pieces(*args):
-        raise AssertionError("pieces built for a band that does not cross")
+    def no_parts(*args):
+        raise AssertionError("crossing parts built for a band that does not cross")
 
-    monkeypatch.setattr(calband.diagnostics, "_pieces", no_pieces)
+    monkeypatch.setattr(calband.diagnostics, "_crossing_parts", no_parts)
     d = _data(np.linspace(0.1, 0.9, 8), [0, 0, 0, 0, 1, 1, 1, 1])
     fam = full_index_family(d)
     assert isotonicity_report(d, fam, raw_band(d, fam, 0.05), 0.05).crossing_regions == []
